@@ -108,7 +108,7 @@ def _resolve_threads(args: argparse.Namespace) -> int:
         value = _env_default("SQUAREPERM_THREADS", 1)
     if value < 1:
         raise ValueError("thread count must be positive")
-    return value
+    return min(value, os.cpu_count() or 1)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -471,10 +471,16 @@ def cmd_pattern_stats(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- verify
 
 
+def _require(cond: bool, message: str) -> None:
+    # an explicit raise, so the checks still run under python -O
+    if not cond:
+        raise AssertionError(message)
+
+
 def _verify_checks(seed: int) -> list[tuple[str, Callable[[], None]]]:
     def counts() -> None:
         for n in range(3, 8):
-            assert len(enumerate_square(n)) == count_square_formula(n)
+            _require(len(enumerate_square(n)) == count_square_formula(n), f"n={n}")
 
     def roundtrip_partial() -> None:
         # reconstruction is a partial inverse at small sizes: whenever the
@@ -484,13 +490,13 @@ def _verify_checks(seed: int) -> list[tuple[str, Callable[[], None]]]:
                 q = reconstruct(project(p))
             except MatchingFailure:
                 continue
-            assert is_square(tuple(int(v) for v in q))
+            _require(is_square(tuple(int(v) for v in q)), f"{p} reconstructs to a non-square")
 
     def injectivity() -> None:
         seen = set()
         for p in enumerate_square(6):
             pair = project(p)
-            assert pair not in seen
+            _require(pair not in seen, f"{p} projects onto a pair already seen")
             seen.add(pair)
 
     def label_identities() -> None:
@@ -502,48 +508,48 @@ def _verify_checks(seed: int) -> list[tuple[str, Callable[[], None]]]:
             st = label_stats(s)
             for lab in "DU":
                 for j in range(1, st.count(lab) + 1):
-                    assert st.ct(lab, st.pos(lab, j)) == j
+                    _require(st.ct(lab, st.pos(lab, j)) == j, f"ct(pos) != id on {s}")
                 for i in range(1, n + 1):
-                    assert st.ct("D", i) + st.ct("U", i) == i
+                    _require(st.ct("D", i) + st.ct("U", i) == i, f"ct(D) + ct(U) != i on {s}")
 
     def petrov_labels() -> None:
-        assert not petrov_check(label_stats("D" * 16)).passed
-        assert petrov_check(label_stats("DUDU" * 4)).passed
+        _require(not petrov_check(label_stats("D" * 16)).passed, "D^16 passes")
+        _require(petrov_check(label_stats("DUDU" * 4)).passed, "(DUDU)^4 fails")
 
     def sampler_roundtrip() -> None:
         for k in range(20):
             pair, _ = sample_regular(2048, replicate_rng(seed, 200 + k))
-            assert project(reconstruct(pair)) == pair
+            _require(project(reconstruct(pair)) == pair, f"draw {k} does not round trip")
 
     def regular_is_regular() -> None:
         pair, _ = sample_regular(2048, replicate_rng(seed, 300))
-        assert is_regular(pair)
+        _require(is_regular(pair), "the sampled pair is not regular")
 
     def grid_marginals() -> None:
         rng = replicate_rng(seed, 400)
         perm = rng.permutation(97) + 1
         cdf = grid_cdf(perm, 8)
         for a in range(9):
-            assert cdf.cdf_fraction(a, 8) == Fraction(a, 8)
-            assert cdf.cdf_fraction(8, a) == Fraction(a, 8)
+            _require(cdf.cdf_fraction(a, 8) == Fraction(a, 8), f"column marginal at {a}/8")
+            _require(cdf.cdf_fraction(8, a) == Fraction(a, 8), f"row marginal at {a}/8")
 
     def mu_z_strips() -> None:
         rng = replicate_rng(seed, 500)
         for _ in range(20):
             z = float(rng.random())
             a, b = sorted(rng.random(2))
-            assert abs(mu_z_rect(z, (a, b, 0.0, 1.0)) - (b - a)) < 1e-12
-            assert abs(mu_z_rect(z, (0.0, 1.0, a, b)) - (b - a)) < 1e-12
+            _require(abs(mu_z_rect(z, (a, b, 0.0, 1.0)) - (b - a)) < 1e-12, f"column strip at z={z}")
+            _require(abs(mu_z_rect(z, (0.0, 1.0, a, b)) - (b - a)) < 1e-12, f"row strip at z={z}")
 
     def limit_p_sums() -> None:
         import itertools as it
 
         for size in (3, 5):
             total = sum(limit_p(pi) for pi in it.permutations(range(1, size + 1)))
-            assert total == 1
+            _require(total == 1, f"size {size} sums to {total}")
         for size in (3, 5):
             for pi in it.permutations(range(1, size + 1)):
-                assert e_counts(pi) == e_counts_brute(pi)
+                _require(e_counts(pi) == e_counts_brute(pi), f"counts differ on {pi}")
 
     def window_map() -> None:
         for p in enumerate_square(6):
@@ -555,7 +561,7 @@ def _verify_checks(seed: int) -> list[tuple[str, Callable[[], None]]]:
                         continue
                     if tag in (1, 4) and not separating_line_exists(p, i, h):
                         continue
-                    assert build_psi(tag, d_set, h) == restrict(p, i, h)
+                    _require(build_psi(tag, d_set, h) == restrict(p, i, h), f"{p} at i={i}, h={h}")
 
     def path_invariants() -> None:
         from .fluctuations import _check_sample_invariants
@@ -722,6 +728,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         RuntimeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

@@ -181,41 +181,42 @@ def pattern_at(p: Sequence[int], positions: Iterable[int]) -> Perm:
     return tuple(rank[v] for v in vals)
 
 
-def _standardize_rows(windows: np.ndarray) -> np.ndarray:
-    # double argsort turns each row into its rank vector (values 1..k)
-    order = np.argsort(windows, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(windows.shape[0])[:, None]
-    ranks[rows, order] = np.arange(1, windows.shape[1] + 1)
-    return ranks
+def _as_value_array(p: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Validate ``p`` as a permutation of 1..n and return it as int64."""
+    arr = np.asarray(p, dtype=np.int64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("permutation must be a nonempty 1-d sequence")
+    counts = np.bincount(arr, minlength=arr.size + 1)
+    if counts[0] != 0 or not (counts[1:] == 1).all():
+        raise ValueError(f"not a permutation of 1..{arr.size}")
+    return arr
 
 
-def _inversions(values: Sequence[int]) -> int:
-    """Number of inversions, by bottom-up merge counting (exact)."""
-    arr = list(values)
-    n = len(arr)
+def _inversion_count(arr: np.ndarray) -> int:
+    """Number of pairs ``i < j`` with ``arr[i] > arr[j]`` (exact).
+
+    ``arr`` is a permutation of 1..n.  An MSD radix sort on the values
+    ``v = arr - 1``, one vector pass per bit: before the pass for bit
+    ``b``, ``cur`` lists the values ordered by ``(v >> (b+1), position)``.
+    Since the values are exactly 0..n-1, the group of prefix ``P`` starts
+    at index ``P << (b+1)``.  Each value with bit ``b`` clear is inverted
+    with the earlier values of its group that have the bit set; a stable
+    partition by the bit then refines the order for the next pass.
+    """
+    cur = arr - 1
+    idx = np.arange(cur.size)
     inv = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            left, right = arr[lo:mid], arr[mid:hi]
-            merged = []
-            i = j = 0
-            while i < len(left) and j < len(right):
-                if left[i] <= right[j]:
-                    merged.append(left[i])
-                    i += 1
-                else:
-                    # left[i:] all exceed right[j]
-                    inv += len(left) - i
-                    merged.append(right[j])
-                    j += 1
-            merged.extend(left[i:])
-            merged.extend(right[j:])
-            arr[lo:hi] = merged
-        width *= 2
+    for b in reversed(range((cur.size - 1).bit_length())):
+        base = (cur >> (b + 1)) << (b + 1)
+        bit = (cur >> b) & 1
+        ones = np.cumsum(bit) - bit  # set bits strictly before each index
+        ones_before = ones - ones[base]  # ... within the same group
+        clear = bit == 0
+        inv += int(ones_before[clear].sum())
+        dest = np.where(clear, idx - ones_before, base + (1 << b) + ones_before)
+        nxt = np.empty_like(cur)
+        nxt[dest] = cur
+        cur = nxt
     return inv
 
 
@@ -230,9 +231,10 @@ def occ_proportion(
 
     Exact counting (a :class:`~fractions.Fraction`) runs when the estimated
     work fits under ``work_bound`` elementary steps; patterns of size one
-    and two always count exactly, the latter through inversion counting.
-    Passing ``samples`` switches to a Monte Carlo estimate over uniform
-    k-subsets and returns ``(estimate, standard_error)`` instead.
+    and two always count exactly, the latter through an O(n log n)
+    inversion count.  Passing ``samples`` switches to a Monte Carlo
+    estimate over uniform k-subsets and returns ``(estimate,
+    standard_error)`` instead.
 
     >>> occ_proportion((1, 2), (2, 4, 1, 3))
     Fraction(1, 2)
@@ -240,14 +242,13 @@ def occ_proportion(
     Fraction(1, 1)
     """
     pi = as_permutation(pi)
-    p = as_permutation(p)
-    k, n = len(pi), len(p)
+    arr = _as_value_array(p)
+    k, n = len(pi), arr.size
     if k > n:
         raise ValueError("pattern larger than host permutation")
 
     if samples is not None:
         rng = np.random.default_rng(rng)
-        arr = np.asarray(p)
         target = np.asarray(pi)
         hits = 0
         for _ in range(int(samples)):
@@ -263,7 +264,7 @@ def occ_proportion(
     if k == 1:
         return Fraction(1)
     if k == 2:
-        inv = _inversions(p)
+        inv = _inversion_count(arr)
         count = inv if pi == (2, 1) else total - inv
         return Fraction(count, total)
     if total * k > work_bound:
@@ -271,6 +272,7 @@ def occ_proportion(
             f"exact occurrence count needs {total * k} steps, over the "
             f"bound {work_bound}; pass samples= for a Monte Carlo estimate"
         )
+    p = tuple(arr.tolist())
     count = 0
     for idx in itertools.combinations(range(n), k):
         vals = [p[i] for i in idx]
@@ -284,7 +286,10 @@ def coc_proportion(pi: Sequence[int], p: Sequence[int]) -> Fraction:
     """Consecutive-occurrence proportion: windows inducing ``pi``, over n.
 
     The denominator is the size of ``p``, not the window count, so the
-    proportions of all patterns of one size sum to ``(n-k+1)/n``.
+    proportions of all patterns of one size sum to ``(n-k+1)/n``.  The
+    window at ``i`` induces ``pi`` exactly when its entries, read in the
+    order ``argsort(pi)``, increase: ``k - 1`` comparisons of shifted
+    slices.
 
     >>> coc_proportion((2, 1), (2, 4, 1, 3))
     Fraction(1, 4)
@@ -292,15 +297,17 @@ def coc_proportion(pi: Sequence[int], p: Sequence[int]) -> Fraction:
     Fraction(1, 7)
     """
     pi = as_permutation(pi)
-    p = as_permutation(p)
-    k, n = len(pi), len(p)
+    arr = _as_value_array(p)
+    k, n = len(pi), arr.size
     if k > n:
         raise ValueError("pattern larger than host permutation")
-    arr = np.asarray(p)
-    windows = np.lib.stride_tricks.sliding_window_view(arr, k)
-    ranks = _standardize_rows(windows)
-    count = int(np.count_nonzero((ranks == np.asarray(pi)).all(axis=1)))
-    return Fraction(count, n)
+    m = n - k + 1  # number of windows
+    # offsets of the window entries in increasing order of value
+    offsets = np.argsort(pi).tolist()
+    match = np.ones(m, dtype=bool)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        match &= arr[lo : lo + m] < arr[hi : hi + m]
+    return Fraction(int(np.count_nonzero(match)), n)
 
 
 def _square_mask(block: np.ndarray) -> np.ndarray:

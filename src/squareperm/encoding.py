@@ -38,6 +38,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
+from .core import _as_value_array
+
 __all__ = [
     "ALL_PETROV_CONDITIONS",
     "DEFAULT_PETROV_CONDITIONS",
@@ -77,16 +79,6 @@ _Y_ALPHABET = ("L", "R")
 
 class MatchingFailure(ValueError):
     """Label matching did not assemble into a permutation."""
-
-
-def _as_value_array(p: Sequence[int] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.int64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("permutation must be a nonempty 1-d sequence")
-    counts = np.bincount(arr, minlength=arr.size + 1)
-    if counts[0] != 0 or not (counts[1:] == 1).all():
-        raise ValueError(f"not a permutation of 1..{arr.size}")
-    return arr
 
 
 def _record_masks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

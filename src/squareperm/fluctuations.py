@@ -28,10 +28,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import _as_value_array
 from .encoding import (
     DEFAULT_PETROV_CONDITIONS,
     AnchoredPair,
-    _as_value_array,
     _record_masks,
     reconstruct,
 )

@@ -34,8 +34,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from .core import as_permutation, pattern_at
-from .encoding import _as_value_array, _record_masks
+from .core import _as_value_array, as_permutation, pattern_at
+from .encoding import _record_masks
 from .sampler import ensure_rng
 
 __all__ = [
@@ -459,14 +459,6 @@ def sample_limit_window(
     return build_psi(j, d_set, h)
 
 
-def _standardize_rows(windows: np.ndarray) -> np.ndarray:
-    order = np.argsort(windows, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(windows.shape[0])[:, None]
-    ranks[rows, order] = np.arange(1, windows.shape[1] + 1)
-    return ranks
-
-
 def empirical_window_distribution(
     p: Sequence[int] | np.ndarray,
     h: int,
@@ -478,9 +470,17 @@ def empirical_window_distribution(
     The quenched object: the law of the rooted window given this one
     permutation.  ``roots="all"`` counts every interior root exactly;
     an integer draws that many uniform interior roots with replacement.
-    Boundary (truncated) windows are excluded either way.
+    Boundary (truncated) windows are excluded either way.  Patterns come
+    in lexicographic order.
+
+    Each window's pattern is its rank vector: entry ``j`` ranks one above
+    the number of window entries below it, summed over the ``w(w-1)/2``
+    comparisons of shifted columns.  A lexsort of the rank vectors and a
+    run-length count of equal rows give the frequencies.
     """
     arr = _as_value_array(p)
+    if h < 0:
+        raise ValueError("radius must be nonnegative")
     w = 2 * h + 1
     if arr.size < w:
         raise ValueError("permutation shorter than the window")
@@ -493,10 +493,20 @@ def empirical_window_distribution(
             raise ValueError("need at least one root")
         gen = ensure_rng(rng)
         chosen = windows[gen.integers(0, windows.shape[0], size=count)]
-    ranks = _standardize_rows(chosen)
-    uniq, counts = np.unique(ranks, axis=0, return_counts=True)
-    total = ranks.shape[0]
+    total = chosen.shape[0]
+    # ranks lie in 1..w; the narrowest dtype lets lexsort use radix sort
+    ranks = np.ones((w, total), dtype=np.min_scalar_type(w))
+    for i, j in itertools.combinations(range(w), 2):
+        below = chosen[:, i] < chosen[:, j]
+        ranks[j] += below
+        ranks[i] += ~below
+    ranks = ranks[:, np.lexsort(ranks[::-1])]
+    new = np.empty(total, dtype=bool)
+    new[0] = True
+    np.any(ranks[:, 1:] != ranks[:, :-1], axis=0, out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=total)
     return {
-        RootedPattern(tuple(int(v) for v in row), h + 1): c / total
-        for row, c in zip(uniq, counts)
+        RootedPattern(tuple(row), h + 1): c / total
+        for row, c in zip(ranks[:, starts].T.tolist(), counts)
     }

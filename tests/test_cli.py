@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import squareperm
+from squareperm import cli
 from squareperm.cli import main
 
 SIZE = 2048  # smallest size the rejection sampler accepts
@@ -184,3 +192,59 @@ def test_verify_battery_passes(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_fails_under_optimized_python():
+    # python -O strips assert statements; a wrong count must still fail
+    script = textwrap.dedent(
+        """
+        import sys
+        from squareperm import cli
+
+        assert False, "asserts are live, so this run does not test -O"
+        real = cli._verify_checks
+        cli._verify_checks = lambda seed: real(seed)[:1]  # the counts check
+        cli.count_square_formula = lambda n: -1
+        sys.exit(cli.main(["verify"]))
+        """
+    )
+    src = str(Path(squareperm.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "[FAIL] counts 3..7 match the closed formula" in proc.stdout
+    assert "1 check(s) failed" in proc.stdout
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8.00 EiB")])
+def test_memory_error_is_a_single_error_line(capsys, monkeypatch, exc):
+    def out_of_memory(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_sample", out_of_memory)
+    code, out, err = run(capsys, "sample", "--size", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(exc) in err
+
+
+@pytest.mark.parametrize(
+    "requested, cpus, resolved",
+    [(64, 4, 4), (2, 8, 2), (3, None, 1), (1, 1, 1), (None, 2, 2)],
+)
+def test_threads_are_clamped_to_the_cpu_count(monkeypatch, requested, cpus, resolved):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("SQUAREPERM_THREADS", "16")
+    assert cli._resolve_threads(argparse.Namespace(threads=requested)) == resolved
+
+
+def test_nonpositive_thread_counts_are_still_rejected(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    with pytest.raises(ValueError, match="thread count"):
+        cli._resolve_threads(argparse.Namespace(threads=0))
