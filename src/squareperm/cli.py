@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DEFAULT_WORK_BOUND,
     MAX_ENUMERATION_SIZE,
     as_permutation,
     coc_proportion,
@@ -112,7 +113,11 @@ def _resolve_threads(args: argparse.Namespace) -> int:
 
 
 def _jsonable(obj: Any) -> Any:
-    """Normalize a report tree: 12-significant-digit floats, p/q rationals."""
+    """Normalize a report tree: 12-significant-digit floats, p/q rationals.
+
+    1-d integer arrays pass through unchanged; :func:`_dumps` writes them
+    in bulk.
+    """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, bool) or obj is None:
@@ -122,6 +127,8 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.12g}")
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind in "iu":
+            return obj
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -138,10 +145,35 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         Path(out).write_text(text)
 
 
+def _dumps(obj: Any, level: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a normalized tree.
+
+    The standard encoder falls back to its pure-Python path whenever it
+    indents, one generator step per value; here a 1-d integer array is
+    joined in one pass, and every scalar and key still goes through
+    ``json.dumps``.
+    """
+    if isinstance(obj, dict):
+        parts = [f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, np.ndarray):
+        parts = list(map(str, obj.tolist()))
+        brackets = "[]"
+    elif isinstance(obj, list):
+        parts = [_dumps(v, level + 1) for v in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not parts:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(parts) + "\n" + "  " * level + brackets[1]
+
+
 def _report(config: dict[str, Any], body: dict[str, Any]) -> str:
     doc = {"schema": SCHEMA, "version": __version__, "config": _jsonable(config)}
     doc.update(_jsonable(body))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def _parse_perm(text: str) -> tuple[int, ...]:
@@ -160,7 +192,7 @@ def _perm_key(pi: Sequence[int]) -> str:
 
 
 def _perm_line(p: Sequence[int] | np.ndarray) -> str:
-    return " ".join(str(int(v)) for v in p)
+    return " ".join(map(str, np.asarray(p).tolist()))
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
@@ -201,7 +233,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "seed": seed,
         "format": args.format,
     }
-    body: dict[str, Any] = {"permutations": [[int(v) for v in p] for p in perms]}
+    body: dict[str, Any] = {"permutations": perms}
     if attempts:
         body["attempts"] = attempts
     _emit(_report(config, body), args)
@@ -245,7 +277,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 def cmd_decode(args: argparse.Namespace) -> int:
     pair = AnchoredPair(args.x, args.y, args.z0)
     perm = reconstruct(pair)
-    if not is_square(tuple(int(v) for v in perm)):
+    if not is_square(perm):
         raise MatchingFailure("decoded sequence is not a square permutation")
     if args.format == "plain":
         _emit(_perm_line(perm) + "\n", args)
@@ -257,7 +289,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         "z0": args.z0,
         "format": args.format,
     }
-    _emit(_report(config, {"permutation": [int(v) for v in perm]}), args)
+    _emit(_report(config, {"permutation": perm}), args)
     return 0
 
 
@@ -432,10 +464,19 @@ def cmd_pattern_stats(args: argparse.Namespace) -> int:
     n, count = args.size, args.count
     if count < 1:
         raise ValueError("need at least one sample")
+    # the bound occ_proportion applies to an exact count, checked before any
+    # draw; no size the sampler reaches (n >= 1024) fits it once k >= 3
+    steps = math.comb(max(n, 0), len(pi)) * len(pi)
+    if not args.consecutive and len(pi) >= 3 and steps > DEFAULT_WORK_BOUND:
+        raise ValueError(
+            f"counting classical occurrences of a size-{len(pi)} pattern at size {n} "
+            f"needs {steps} steps, over the bound {DEFAULT_WORK_BOUND}; use "
+            "--consecutive or a pattern of size at most 2"
+        )
     values: list[Fraction | float] = []
     complement_exact = True
     for k in range(count):
-        perm = tuple(int(v) for v in sample_square_approx(n, replicate_rng(seed, k)))
+        perm = sample_square_approx(n, replicate_rng(seed, k))
         if args.consecutive:
             values.append(coc_proportion(pi, perm))
         else:

@@ -77,6 +77,15 @@ _X_ALPHABET = ("D", "U")
 _Y_ALPHABET = ("L", "R")
 
 
+def _over(labels: object, alphabet: bytes) -> bool:
+    """True when ``labels`` is a string over the ASCII letters of ``alphabet``."""
+    return (
+        isinstance(labels, str)
+        and labels.isascii()
+        and not labels.encode("ascii").translate(None, alphabet)
+    )
+
+
 class MatchingFailure(ValueError):
     """Label matching did not assemble into a permutation."""
 
@@ -105,14 +114,13 @@ class AnchoredPair:
     z0: int  # anchor column: position of the lowest point
 
     def __post_init__(self) -> None:
-        n = len(self.x)
-        if len(self.y) != n:
+        if isinstance(self.x, str) and isinstance(self.y, str) and len(self.x) != len(self.y):
             raise ValueError("label sequences differ in length")
-        if not set(self.x) <= set(_X_ALPHABET):
+        if not _over(self.x, b"DU"):
             raise ValueError("x labels must be U or D")
-        if not set(self.y) <= set(_Y_ALPHABET):
+        if not _over(self.y, b"LR"):
             raise ValueError("y labels must be L or R")
-        if not 1 <= self.z0 <= n:
+        if not 1 <= self.z0 <= len(self.x):
             raise ValueError("anchor out of range")
 
     @property
@@ -179,10 +187,9 @@ class LabelStats:
         seq = sequence if isinstance(sequence, str) else "".join(sequence)
         if not seq:
             raise ValueError("empty label sequence")
-        letters = set(seq)
-        if letters <= set(_X_ALPHABET):
+        if _over(seq, b"DU"):
             alphabet = _X_ALPHABET
-        elif letters <= set(_Y_ALPHABET):
+        elif _over(seq, b"LR"):
             alphabet = _Y_ALPHABET
         else:
             raise ValueError("labels must be over {U,D} or {L,R}")
@@ -283,11 +290,26 @@ class PetrovReport:
     conditions: tuple[int, ...]  # which conditions were evaluated
 
 
-def _window_extremes(dev: np.ndarray, reach: int) -> tuple[int, int, int] | None:
-    """Worst (i, j, spread) over index pairs at distance <= reach, or None."""
+def _window_extremes(
+    dev: np.ndarray, reach: int, bound: float
+) -> tuple[int, int, int] | None:
+    """Worst (i, j, spread) over index pairs at distance <= reach.
+
+    None when there is no such pair, or when a block screen shows every
+    spread to be below ``bound``: a window of ``width`` consecutive
+    entries lies inside two adjacent blocks of ``width``, so the spread
+    of each pair of adjacent blocks bounds the spread of every window.
+    """
     if reach < 1 or dev.size < 2:
         return None
     width = min(reach + 1, dev.size)
+    starts = np.arange(0, dev.size, width)
+    hi = np.maximum.reduceat(dev, starts)
+    lo = np.minimum.reduceat(dev, starts)
+    if hi.size > 1:
+        hi, lo = np.maximum(hi[:-1], hi[1:]), np.minimum(lo[:-1], lo[1:])
+    if (hi - lo).max() < bound:
+        return None
     spread = maximum_filter1d(dev, width, mode="nearest") - minimum_filter1d(
         dev, width, mode="nearest"
     )
@@ -375,14 +397,14 @@ def petrov_check(
             hit: tuple[int, int, int] | None = None
             half = 1.0
             if cond == 1:
-                hit = _window_extremes(dev_ct, reach)
                 half, bound = 2.0, 2 * t_04
+                hit = _window_extremes(dev_ct, reach, bound)
             elif cond == 2:
                 hit = _long_range_violation(dev_ct, d_min, 1.0)
                 half, bound = 2.0, 0.0
             elif cond == 3:
-                hit = _window_extremes(dev_pos, reach)
                 bound = t_04
+                hit = _window_extremes(dev_pos, reach, bound)
             elif cond == 4:
                 hit = _long_range_violation(dev_pos, d_min, 2.0)
                 bound = 0.0

@@ -8,8 +8,10 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squareperm
@@ -47,6 +49,48 @@ def test_reports_are_byte_identical_for_equal_configs(capsys):
     assert first == again and first[0] == 0
     other = run(capsys, "sample", "--size", str(SIZE), "--count", "2", "--seed", "8")
     assert other[1] != first[1]
+
+
+def old_jsonable(obj):
+    """The report normalizer before 1-d integer arrays passed through."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, np.ndarray):
+        return [old_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): old_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [old_jsonable(v) for v in obj]
+    return obj
+
+
+REPORT_BODIES = [
+    {},
+    {"nested": {"b": {"z": [], "a": {}}, "a": [1, [2, {"c": None}], []], "B": {"k": [[]]}}},
+    {"permutations": [np.arange(1, 6), np.array([], dtype=np.int64)], "one": np.array([7])},
+    {"ints": [np.array([-3, 0, 2**40], dtype=np.int64), np.array([255, 0], dtype=np.uint8)]},
+    {"grid": np.arange(6).reshape(2, 3), "empty_grid": np.zeros((2, 0), dtype=np.int64)},
+    {"flags": np.array([True, False]), "floats": np.array([0.1, 1 / 3, np.nan, -np.inf])},
+    {"exact": Fraction(3, 7), "whole": Fraction(4), "i64": np.int64(-5), "f64": np.float64(2 / 3)},
+    {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "tiny": 1e-300},
+    {"text": "ünïcode ✓ \"quoted\"\n", "none": None, "yes": True, "no": False, "t": (1, 2.5)},
+    {"é\tkey": 1, "10": 2, "9": 3, "": {"": []}},
+]
+
+
+@pytest.mark.parametrize("body", REPORT_BODIES)
+def test_report_writer_matches_the_standard_encoder(body):
+    config = {"command": "sample", "size": 5, "seed": np.int64(3), "times": (0.25, 1.0)}
+    doc = {"schema": cli.SCHEMA, "version": squareperm.__version__, "config": config}
+    doc.update(body)
+    want = json.dumps(old_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    assert cli._report(config, body) == want
 
 
 def test_sample_plain_lines_are_permutations(capsys):
@@ -141,6 +185,19 @@ def test_pattern_stats_keeps_the_exact_complement(capsys):
     assert 0.3 < body["mean"] < 0.7
     # the exact per-sample proportions survive as p/q strings
     assert all("/" in v for v in body["per_sample"])
+
+
+def test_pattern_stats_refuses_an_infeasible_exact_count_before_drawing(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        pytest.fail("pattern-stats drew a permutation before checking the work bound")
+
+    monkeypatch.setattr(cli, "sample_square_approx", no_draw)
+    code, out, err = run(capsys, "pattern-stats", "--pattern", "123", "--size", "20000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for remedy in ("--consecutive", "pattern of size at most 2"):
+        assert remedy in err
+    assert "samples=" not in err
 
 
 def test_consecutive_pattern_stats(capsys):

@@ -176,6 +176,13 @@ def test_pair_validation():
         AnchoredPair(x="DU", y="LLL", z0=1)  # length mismatch
     with pytest.raises(ValueError):
         AnchoredPair(x="DU", y="LL", z0=3)  # anchor out of range
+    # labels are checked as ASCII bytes: lists, bytes and look-alike letters fail
+    for x in ("DX", "dU", "DÜ", "D\u0414", ["D", "U"], b"DU"):
+        with pytest.raises(ValueError, match="x labels must be U or D"):
+            AnchoredPair(x=x, y="LL", z0=1)
+    for y in ("LD", "L ", "LŘ", ("L", "L")):
+        with pytest.raises(ValueError, match="y labels must be L or R"):
+            AnchoredPair(x="DU", y=y, z0=1)
 
 
 def test_is_regular_requires_margin_and_screen():

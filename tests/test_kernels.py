@@ -2,9 +2,10 @@
 
 Window counting is checked against ``restrict`` at every root, the k = 2
 inversion count against a pair count, consecutive occurrences against
-``pattern_at`` over every window, and the limit CDF table and the grid
+``pattern_at`` over every window, the limit CDF table and the grid
 box distance against the scalar ``mu_z_rect`` and explicit maxima over
-grid rectangles.
+grid rectangles, and the block-screened Petrov window check against the
+min/max filter pair alone.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from squareperm import (
+    LabelStats,
     RootedPattern,
     box_distance_grid,
     coc_proportion,
@@ -27,8 +30,10 @@ from squareperm import (
     mu_z_rect,
     occ_proportion,
     pattern_at,
+    petrov_check,
     restrict,
 )
+from squareperm import encoding
 from squareperm.core import _inversion_count
 from squareperm.permuton import _mu_z_grid_cdf
 
@@ -185,6 +190,96 @@ def test_box_distance_is_the_max_over_grid_rectangles(G):
         got = box_distance_grid(p, z, G)
         assert got == corners
         assert got == pytest.approx(direct, abs=1e-12)
+
+
+# ------------------------------------------------------- Petrov screen
+
+
+def unscreened_window_extremes(dev, reach, bound):
+    """The exact min/max filter pair alone; ``bound`` is ignored."""
+    if reach < 1 or dev.size < 2:
+        return None
+    width = min(reach + 1, dev.size)
+    spread = maximum_filter1d(dev, width, mode="nearest") - minimum_filter1d(
+        dev, width, mode="nearest"
+    )
+    c = int(np.argmax(spread))
+    lo = max(0, c - (width - 1) // 2)
+    window = dev[lo : min(dev.size, c + width // 2 + 1)]
+    i = lo + int(np.argmax(window))
+    j = lo + int(np.argmin(window))
+    return i, j, int(spread[c])
+
+
+def unscreened_petrov_check(monkeypatch, stats, conditions):
+    with monkeypatch.context() as m:
+        m.setattr(encoding, "_window_extremes", unscreened_window_extremes)
+        return petrov_check(stats, conditions=conditions)
+
+
+def label_strings(n, seed):
+    """Fair-coin, drifting and blocky X and Y label strings of length n."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for p_low in (0.5, 0.5, 0.5, 0.47, 0.55, 0.7):
+        for alphabet in ("DU", "LR"):
+            bits = (rng.random(n) >= p_low).astype(np.intp)
+            out.append("".join(alphabet[b] for b in bits))
+    run = max(1, n // 20)
+    out.append(("D" * run + "U" * run) * (n // (2 * run)) + "D" * (n % (2 * run)))
+    return out
+
+
+PETROV_CONDITION_SETS = [(1, 5, 6), (1, 2, 3, 4, 5, 6), (3,)]
+
+
+@pytest.mark.parametrize("conditions", PETROV_CONDITION_SETS)
+@pytest.mark.parametrize("n", [5, 17, 64, 2000, 20000])
+def test_petrov_screen_keeps_every_report(monkeypatch, n, conditions):
+    verdicts = set()
+    for s in label_strings(n, n):
+        stats = LabelStats(s)
+        want = unscreened_petrov_check(monkeypatch, stats, conditions)
+        assert petrov_check(stats, conditions=conditions) == want
+        verdicts.add(want.passed)
+    if n >= 2000 and conditions == (1, 5, 6):
+        assert verdicts == {True, False}  # both outcomes are exercised
+
+
+def test_petrov_screen_skips_the_filter_on_typical_draws():
+    n = 20000
+    reach = math.ceil(n**0.6) - 1
+    bound = 2 * n**0.4
+    screened = 0
+    for s in label_strings(n, 3)[:6]:  # the fair-coin strings
+        stats = LabelStats(s)
+        dev = 2 * stats.ct_table(stats.alphabet[0]) - np.arange(n + 1)
+        exact = unscreened_window_extremes(dev, reach, bound)
+        got = encoding._window_extremes(dev, reach, bound)
+        if got is None:
+            screened += 1
+            assert exact[2] < bound
+        else:
+            assert got == exact
+    assert screened > 0
+
+
+@pytest.mark.parametrize("gap, passed", [(5, False), (4, True)])
+def test_petrov_screen_at_a_spread_equal_to_the_bound(monkeypatch, gap, passed):
+    # n = 32: float(32) ** 0.4 is exactly 4.0, the bound of condition (3),
+    # and a run of `gap` U's moves pos_D - 2i by gap - 1 within one step
+    n = 32
+    assert float(n) ** 0.4 == 4.0
+    head = "D" + "U" * gap + "D"
+    s = head + "UD" * ((n - len(head)) // 2) + "D" * ((n - len(head)) % 2)
+    stats = LabelStats(s)
+    dev = stats.pos_table("D")[: stats.count("D") + 1] - 2 * np.arange(stats.count("D") + 1)
+    assert unscreened_window_extremes(dev, math.ceil(n**0.6) - 1, 4.0)[2] == gap - 1
+    for conditions in ((3,), (1, 3, 5, 6)):
+        want = unscreened_petrov_check(monkeypatch, stats, conditions)
+        got = petrov_check(stats, conditions=conditions)
+        assert got == want
+        assert any(v.condition == 3 for v in got.violations) is not passed
 
 
 # --------------------------------------------------------------- errors
