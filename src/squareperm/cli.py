@@ -461,24 +461,37 @@ def cmd_local_stats(args: argparse.Namespace) -> int:
 def cmd_pattern_stats(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     pi = _parse_perm(args.pattern)
-    n, count = args.size, args.count
+    n, count, samples = args.size, args.count, args.samples
     if count < 1:
         raise ValueError("need at least one sample")
+    if samples is not None:
+        if args.consecutive:
+            raise ValueError("--samples estimates classical counts; drop it or --consecutive")
+        if samples < 1:
+            raise ValueError("--samples needs at least one sample")
     # the bound occ_proportion applies to an exact count, checked before any
     # draw; no size the sampler reaches (n >= 1024) fits it once k >= 3
     steps = math.comb(max(n, 0), len(pi)) * len(pi)
-    if not args.consecutive and len(pi) >= 3 and steps > DEFAULT_WORK_BOUND:
+    if samples is None and not args.consecutive and len(pi) >= 3 and steps > DEFAULT_WORK_BOUND:
         raise ValueError(
             f"counting classical occurrences of a size-{len(pi)} pattern at size {n} "
             f"needs {steps} steps, over the bound {DEFAULT_WORK_BOUND}; use "
-            "--consecutive or a pattern of size at most 2"
+            "--samples N for a Monte Carlo estimate, --consecutive or a pattern "
+            "of size at most 2"
         )
     values: list[Fraction | float] = []
+    errors: list[float] = []  # standard errors of Monte Carlo estimates
     complement_exact = True
     for k in range(count):
-        perm = sample_square_approx(n, replicate_rng(seed, k))
+        gen = replicate_rng(seed, k)
+        perm = sample_square_approx(n, gen)
         if args.consecutive:
             values.append(coc_proportion(pi, perm))
+        elif samples is not None:
+            # the Monte Carlo subsets continue the stream of the draw
+            est, err = occ_proportion(pi, perm, samples=samples, rng=gen)
+            values.append(est)
+            errors.append(err)
         else:
             v = occ_proportion(pi, perm)
             values.append(v)
@@ -487,11 +500,11 @@ def cmd_pattern_stats(args: argparse.Namespace) -> int:
                 complement_exact &= (v + other == 1)
     floats = np.array([float(v) for v in values])
     body: dict[str, Any] = {
-        "per_sample": values,
+        "per_sample": values if samples is None else [list(e) for e in zip(values, errors)],
         "mean": float(floats.mean()),
         "sd": float(floats.std(ddof=1)) if count > 1 else 0.0,
     }
-    if not args.consecutive and len(pi) == 2:
+    if samples is None and not args.consecutive and len(pi) == 2:
         body["complement_exact"] = bool(complement_exact)
     config = {
         "command": "pattern-stats",
@@ -502,6 +515,8 @@ def cmd_pattern_stats(args: argparse.Namespace) -> int:
         "seed": seed,
         "format": args.format,
     }
+    if samples is not None:
+        config["samples"] = samples
     if args.format == "plain":
         _emit(f"{body['mean']:.12g}\n", args)
         return 0
@@ -745,6 +760,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=200)
     sp.add_argument("--pattern", type=str, default="12")
     sp.add_argument("--consecutive", action="store_true", help="consecutive occurrences instead of classical")
+    sp.add_argument(
+        "--samples", type=int, default=None,
+        help="estimate classical proportions from N uniform position subsets per permutation; "
+        "per_sample entries become [estimate, standard error]",
+    )
     _add_common(sp)
     sp.set_defaults(func=cmd_pattern_stats)
 

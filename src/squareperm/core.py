@@ -248,6 +248,8 @@ def occ_proportion(
         raise ValueError("pattern larger than host permutation")
 
     if samples is not None:
+        if samples < 1:
+            raise ValueError("need at least one sample")
         rng = np.random.default_rng(rng)
         target = np.asarray(pi)
         hits = 0

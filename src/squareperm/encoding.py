@@ -91,12 +91,25 @@ class MatchingFailure(ValueError):
 
 
 def _record_masks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boolean masks (lrmax, lrmin, rlmax, rlmin) over positions."""
-    lrmax = arr == np.maximum.accumulate(arr)
-    lrmin = arr == np.minimum.accumulate(arr)
-    rev = arr[::-1]
-    rlmax = (rev == np.maximum.accumulate(rev))[::-1]
-    rlmin = (rev == np.minimum.accumulate(rev))[::-1]
+    """Boolean masks (lrmax, lrmin, rlmax, rlmin) over the positions of a
+    permutation.
+
+    Values are distinct, so no left-to-right maximum lies past the
+    largest value and no right-to-left maximum before it (minima
+    likewise around the smallest): each running extreme is accumulated
+    over its own side of the extreme only, about 2n steps in all.
+    """
+    n = arr.size
+    top, bottom = int(np.argmax(arr)), int(np.argmin(arr))
+    lrmax, lrmin, rlmax, rlmin = (np.zeros(n, dtype=bool) for _ in range(4))
+    for left, right, extreme, at in (
+        (lrmax, rlmax, np.maximum, top),
+        (lrmin, rlmin, np.minimum, bottom),
+    ):
+        head = arr[: at + 1]
+        np.equal(head, extreme.accumulate(head), out=left[: at + 1])
+        tail = arr[at:][::-1]
+        np.equal(tail, extreme.accumulate(tail), out=right[at:][::-1])
     return lrmax, lrmin, rlmax, rlmin
 
 
@@ -194,17 +207,23 @@ class LabelStats:
         else:
             raise ValueError("labels must be over {U,D} or {L,R}")
         n = len(seq)
-        buf = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
+        first = np.frombuffer(seq.encode("ascii"), dtype=np.uint8) == ord(alphabet[0])
+        # one prefix sum: the second letter's count is i minus the first's
+        ct_first = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(first, out=ct_first[1:])
+        ct_second = np.arange(n + 1, dtype=np.int64)
+        ct_second -= ct_first
         ct: dict[str, np.ndarray] = {}
         pos: dict[str, np.ndarray] = {}
-        for label in alphabet:
-            mask = buf == ord(label)
-            table = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(mask, out=table[1:])
-            where = np.flatnonzero(mask).astype(np.int64) + 1
-            padded = np.full(n + 2, n, dtype=np.int64)
+        for label, table, mask in (
+            (alphabet[0], ct_first, first),
+            (alphabet[1], ct_second, ~first),
+        ):
+            m = int(table[-1])
+            padded = np.empty(n + 2, dtype=np.int64)
             padded[0] = 0
-            padded[1 : 1 + where.size] = where
+            np.add(np.flatnonzero(mask), 1, out=padded[1 : 1 + m])
+            padded[1 + m :] = n
             table.setflags(write=False)
             padded.setflags(write=False)
             ct[label] = table
@@ -382,38 +401,55 @@ def petrov_check(
     wanted = sorted(set(conditions))
     if not set(wanted) <= set(ALL_PETROV_CONDITIONS):
         raise ValueError("conditions must be among 1..6")
+    if n != stats.n:
+        raise ValueError(f"n={n} differs from the sequence length {stats.n}")
     nf = float(n)
     t_04, t_06, t_03 = nf**0.4, nf**0.6, nf**0.3
     reach = math.ceil(t_06) - 1  # largest integer distance strictly below n^0.6
     d_min = math.floor(t_03) + 1  # smallest integer distance strictly above n^0.3
+    # (half, bound) per condition; count deviations are doubled, so halved
+    # when reported, and (2), (4) return only violating pairs
+    limits = {
+        1: (2.0, 2 * t_04),
+        2: (2.0, 0.0),
+        3: (1.0, t_04),
+        4: (1.0, 0.0),
+        5: (2.0, 2 * t_06),
+        6: (1.0, 2 * t_06),
+    }
     violations: list[PetrovViolation] = []
 
+    # deviations kept exactly integral: ct doubled, pos as printed.  The
+    # second letter's count deviation is the first's negated, so the count
+    # conditions (1), (2), (5) run once: spreads, distance differences and
+    # |dev| are unchanged, and in (1) a window's argmax and argmin swap.
+    first, second = stats.alphabet
+    dev_ct = stats.ct_table(first) - stats.ct_table(second)  # 2 ct(i) - i
+    mirrored: dict[int, tuple[int, int, int] | None] = {}
     for label in stats.alphabet:
         m = stats.count(label)
-        # deviations kept exactly integral: ct doubled, pos as printed
-        dev_ct = 2 * stats.ct_table(label) - np.arange(n + 1, dtype=np.int64)
-        dev_pos = stats.pos_table(label)[: m + 1] - 2 * np.arange(m + 1, dtype=np.int64)
+        dev_pos = np.arange(0, -2 * (m + 1), -2, dtype=np.int64)
+        dev_pos += stats.pos_table(label)[: m + 1]
         for cond in wanted:
-            hit: tuple[int, int, int] | None = None
-            half = 1.0
-            if cond == 1:
-                half, bound = 2.0, 2 * t_04
+            half, bound = limits[cond]
+            hit: tuple[int, int, int] | None
+            if label != first and cond in mirrored:
+                hit = mirrored[cond]
+            elif cond == 1:
                 hit = _window_extremes(dev_ct, reach, bound)
+                mirrored[1] = None if hit is None else (hit[1], hit[0], hit[2])
             elif cond == 2:
-                hit = _long_range_violation(dev_ct, d_min, 1.0)
-                half, bound = 2.0, 0.0
+                hit = mirrored[2] = _long_range_violation(dev_ct, d_min, 1.0)
             elif cond == 3:
-                bound = t_04
                 hit = _window_extremes(dev_pos, reach, bound)
             elif cond == 4:
                 hit = _long_range_violation(dev_pos, d_min, 2.0)
-                bound = 0.0
             elif cond == 5:
                 k = int(np.argmax(np.abs(dev_ct)))
-                hit, half, bound = (k, 0, abs(int(dev_ct[k]))), 2.0, 2 * t_06
+                hit = mirrored[5] = (k, 0, abs(int(dev_ct[k])))
             else:
                 k = int(np.argmax(np.abs(dev_pos)))
-                hit, bound = (k, 0, abs(int(dev_pos[k]))), 2 * t_06
+                hit = (k, 0, abs(int(dev_pos[k])))
             if hit is None:
                 continue
             i, j, dev = hit
@@ -478,6 +514,18 @@ def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
     return AnchoredPair(x, y, z0)
 
 
+def _anchor_counts(pair: AnchoredPair) -> tuple[int, int, int, int]:
+    """``(cd, z1, z2, z3)``: the D count up to the anchor and the anchors."""
+    if not pair.good:
+        raise ValueError("pair is not good")
+    sx, sy = pair.x_stats, pair.y_stats
+    cd = sx.ct("D", pair.z0)
+    z1 = sy.pos("L", cd)
+    z2 = sx.pos("U", sy.count("L") - cd)
+    z3 = sy.pos("R", sx.count("D") - cd)
+    return cd, z1, z2, z3
+
+
 def anchors(pair: AnchoredPair) -> tuple[int, int, int]:
     """The three derived anchors (z1, z2, z3) of a good pair.
 
@@ -489,14 +537,7 @@ def anchors(pair: AnchoredPair) -> tuple[int, int, int]:
     >>> anchors(AnchoredPair("D" * 5, "L" * 5, 1))
     (1, 5, 5)
     """
-    if not pair.good:
-        raise ValueError("pair is not good")
-    sx, sy = pair.x_stats, pair.y_stats
-    cd = sx.ct("D", pair.z0)
-    z1 = sy.pos("L", cd)
-    z2 = sx.pos("U", sy.count("L") - cd)
-    z3 = sy.pos("R", sx.count("D") - cd)
-    return z1, z2, z3
+    return _anchor_counts(pair)[1:]
 
 
 @dataclass(frozen=True)
@@ -518,6 +559,43 @@ class LambdaFamilies:
         )
 
 
+_FamilySlices = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _match(pair: AnchoredPair) -> tuple[np.ndarray, _FamilySlices, tuple[int, int, int]]:
+    """The matching kernel of :func:`build_lambdas` and :func:`reconstruct`.
+
+    Each family is a pair of (columns, rows) views of the padded position
+    tables, reversed where the family runs backwards; the rows are
+    scattered by column into the permutation.  The column slices
+    partition the D and U positions whatever the counts, so only the rows
+    can fail to be a bijection.  Returns the permutation (a view), the
+    four families and the anchors.
+    """
+    cd, z1, z2, z3 = _anchor_counts(pair)
+    n = pair.n
+    sx, sy = pair.x_stats, pair.y_stats
+    cu = sx.ct("U", z2)
+    md, mu = sx.count("D"), sx.count("U")
+    pos_d, pos_u = sx.pos_table("D"), sx.pos_table("U")
+    pos_l, pos_r = sy.pos_table("L"), sy.pos_table("R")
+    fams = (
+        (pos_d[1 : cd + 1], pos_l[cd:0:-1]),
+        (pos_u[1 : cu + 1], pos_l[cd + 1 : cd + cu + 1]),
+        (pos_d[cd + 1 : md + 1], pos_r[1 : md - cd + 1]),
+        (pos_u[cu + 1 : mu + 1], pos_r[n - cd - cu : md - cd : -1]),
+    )
+    out = np.empty(n + 1, dtype=np.int64)  # 1-based: entry 0 is unused
+    for cols, rows in fams:
+        out[cols] = rows
+    perm = out[1:]
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[perm] = True
+    if not seen[1:].all():  # n rows cover 1..n exactly when each appears once
+        raise MatchingFailure("label matching is not a bijection")
+    return perm, fams, (z1, z2, z3)
+
+
 def build_lambdas(pair: AnchoredPair) -> LambdaFamilies:
     """Match label occurrences into the four point families.
 
@@ -529,37 +607,10 @@ def build_lambdas(pair: AnchoredPair) -> LambdaFamilies:
     not assemble into a permutation, which is how irregular pairs
     (typically with degenerate, padded position lookups) surface.
     """
-    if not pair.good:
-        raise ValueError("pair is not good")
-    n = pair.n
-    sx, sy = pair.x_stats, pair.y_stats
-    cd = sx.ct("D", pair.z0)
-    z1 = sy.pos("L", cd)
-    z2 = sx.pos("U", sy.count("L") - cd)
-    z3 = sy.pos("R", sx.count("D") - cd)
-    cu = sx.ct("U", z2)
-    pos_d, pos_u = sx.pos_table("D"), sx.pos_table("U")
-    pos_l, pos_r = sy.pos_table("L"), sy.pos_table("R")
-
-    i1 = np.arange(1, cd + 1, dtype=np.int64)
-    i2 = np.arange(1, cu + 1, dtype=np.int64)
-    i3 = np.arange(cd + 1, sx.count("D") + 1, dtype=np.int64)
-    i4 = np.arange(cu + 1, sx.count("U") + 1, dtype=np.int64)
-    fams = (
-        np.column_stack((pos_d[i1], pos_l[cd + 1 - i1])),
-        np.column_stack((pos_u[i2], pos_l[cd + i2])),
-        np.column_stack((pos_d[i3], pos_r[i3 - cd])),
-        np.column_stack((pos_u[i4], pos_r[n - cd + 1 - i4])),
+    _, fams, (z1, z2, z3) = _match(pair)
+    return LambdaFamilies(
+        *(np.column_stack(f) for f in fams), z1=int(z1), z2=int(z2), z3=int(z3)
     )
-
-    pts = np.concatenate(fams) if any(f.size for f in fams) else np.empty((0, 2))
-    if pts.shape[0] != n:
-        raise MatchingFailure("families do not cover every column")
-    for axis in (0, 1):
-        counts = np.bincount(pts[:, axis], minlength=n + 1)
-        if counts[0] != 0 or not (counts[1:] == 1).all():
-            raise MatchingFailure("label matching is not a bijection")
-    return LambdaFamilies(*fams, z1=int(z1), z2=int(z2), z3=int(z3))
 
 
 def reconstruct(pair: AnchoredPair) -> np.ndarray:
@@ -573,8 +624,4 @@ def reconstruct(pair: AnchoredPair) -> np.ndarray:
     >>> reconstruct(AnchoredPair("DUDD", "LLRL", 3)).tolist()
     [2, 4, 1, 3]
     """
-    fams = build_lambdas(pair)
-    pts = fams.points()
-    out = np.empty(pair.n, dtype=np.int64)
-    out[pts[:, 0] - 1] = pts[:, 1]
-    return out
+    return _match(pair)[0]

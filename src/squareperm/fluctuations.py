@@ -117,6 +117,14 @@ def _assumption_floor(n: int) -> float:
     return n / 2 + 10 * float(n) ** 0.6
 
 
+def _family(arr: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Points ``(i + 1, arr[i])`` for the 0-based positions ``at``, in order."""
+    pts = np.empty((at.size, 2), dtype=np.int64)
+    np.add(at, 1, out=pts[:, 0])
+    np.take(arr, at, out=pts[:, 1])
+    return pts
+
+
 def extract_families(
     p: Sequence[int] | np.ndarray,
 ) -> tuple[PointFamily, PointFamily, PointFamily]:
@@ -139,17 +147,10 @@ def extract_families(
         raise AnchorAssumptionError(
             f"anchor z0={z0} must exceed n/2 + 10 n^0.6 = {_assumption_floor(n):.2f}"
         )
-    cols = np.arange(1, n + 1, dtype=np.int64)
-
-    dr_x = cols[rlmin]
-    dr = np.column_stack((dr_x, arr[rlmin]))
-
-    dl_keep = lrmin & (arr <= n - z0 + 1)
-    dl_x = cols[dl_keep][::-1]  # corner first: walk leftward
-    dl = np.column_stack((dl_x, arr[dl_keep][::-1]))
-
-    ur_keep = rlmax & (cols >= z0)
-    ur = np.column_stack((cols[ur_keep], arr[ur_keep]))
+    dr = _family(arr, np.flatnonzero(rlmin))
+    # corner first: walk leftward
+    dl = _family(arr, np.flatnonzero(lrmin & (arr <= n - z0 + 1))[::-1])
+    ur = _family(arr, np.flatnonzero(rlmax[z0 - 1 :]) + (z0 - 1))
 
     return (
         PointFamily("DR", dr),

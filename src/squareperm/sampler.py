@@ -5,9 +5,13 @@ product-uniform draw of labels conditioned on the anchor column reading
 ``D``; a *regular* pair additionally keeps its anchor away from the ends
 and its labels inside the Petrov envelope; a square permutation is the
 reconstruction of a regular pair.  The last step is exactly uniform over
-the reconstructible set, which carries all but a vanishing fraction of
-square permutations, so the sampler is asymptotically uniform.  For sizes
-up to 10 an exact-uniform oracle draws from the exhaustive enumeration.
+the squares reconstructed from regular pairs, and those all have their
+anchor ``z0`` (the column of value 1) in the window
+``[n^0.9, n - n^0.9]``.  The share it leaves out, about 2 n^-0.1, falls
+only slowly: about 63% of the square permutations at n = 10^5 and 40% at
+n = 10^7, so at practical sizes the draw is not uniform on all squares
+(ROADMAP item 1).  For sizes up to 10 an exact-uniform oracle
+draws from the exhaustive enumeration.
 
 Generators follow a two-level scheme: ``replicate_rng(master, k)`` derives
 the stream for replicate ``k``, so parallel and serial runs agree
@@ -91,8 +95,10 @@ def _random_label_string(
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
     for i in forced:
         bits[i - 1] = 0
-    codes = np.array([ord(alphabet[0]), ord(alphabet[1])], dtype=np.uint8)
-    return codes[bits].tobytes().decode("ascii")
+    low, high = ord(alphabet[0]), ord(alphabet[1])
+    bits *= np.uint8(high - low)  # 0 or the gap, then shifted onto the letters
+    bits += np.uint8(low)
+    return bits.tobytes().decode("ascii")
 
 
 def _draw_pair(rng: np.random.Generator, n: int, z0: int) -> AnchoredPair:
@@ -210,11 +216,13 @@ def sample_square_approx(
     conditions: Iterable[int] = DEFAULT_PETROV_CONDITIONS,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> np.ndarray:
-    """Asymptotically uniform square permutation of size ``n``.
+    """Square permutation of size ``n`` from a uniform regular pair.
 
     Reconstructs a uniform regular pair; the result is validated to be
-    square before it is returned.  Exactly uniform on the reconstructible
-    set, which misses O(n^{-c}) of the square permutations.
+    square before it is returned.  Exactly uniform on the squares it can
+    reach, whose anchors all lie in ``[n^0.9, n - n^0.9]``: about 37% of
+    the square permutations at n = 10^5 and 60% at n = 10^7, so not
+    uniform on all of them at the sizes in use (ROADMAP item 1).
     """
     pair, _ = sample_regular(n, rng, conditions, max_attempts)
     p = reconstruct(pair)

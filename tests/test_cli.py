@@ -16,6 +16,7 @@ import pytest
 
 import squareperm
 from squareperm import cli
+from squareperm import occ_proportion
 from squareperm.cli import main
 
 SIZE = 2048  # smallest size the rejection sampler accepts
@@ -195,9 +196,49 @@ def test_pattern_stats_refuses_an_infeasible_exact_count_before_drawing(capsys, 
     code, out, err = run(capsys, "pattern-stats", "--pattern", "123", "--size", "20000")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    for remedy in ("--consecutive", "pattern of size at most 2"):
+    for remedy in ("--samples N", "--consecutive", "pattern of size at most 2"):
         assert remedy in err
     assert "samples=" not in err
+
+
+def test_pattern_stats_estimates_a_classical_132_with_samples(capsys):
+    code, out, err = run(
+        capsys, "pattern-stats", "--pattern", "132", "--size", str(SIZE),
+        "--count", "2", "--samples", "2000", "--seed", "4",
+    )
+    assert code == 0 and err == ""
+    body = json.loads(out)
+    assert body["config"]["samples"] == 2000
+    assert "complement_exact" not in body
+    # each estimate continues the generator of its own draw
+    want = []
+    for k in range(2):
+        gen = cli.replicate_rng(4, k)
+        perm = cli.sample_square_approx(SIZE, gen)
+        want.append(list(occ_proportion((1, 3, 2), perm, samples=2000, rng=gen)))
+    assert body["per_sample"] == [[float(f"{v:.12g}") for v in pair] for pair in want]
+    est = [pair[0] for pair in want]
+    assert body["mean"] == float(f"{np.mean(est):.12g}")
+    for est, se in body["per_sample"]:
+        assert 0.0 < est < 1.0 and 0.0 < se < 0.02
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--samples", "0"), "--samples needs at least one sample"),
+        (("--samples", "-3"), "--samples needs at least one sample"),
+        (("--samples", "10", "--consecutive"), "drop it or --consecutive"),
+    ],
+)
+def test_pattern_stats_rejects_bad_sample_options_before_drawing(capsys, monkeypatch, extra, message):
+    def no_draw(*args, **kwargs):
+        pytest.fail("pattern-stats drew a permutation before checking its options")
+
+    monkeypatch.setattr(cli, "sample_square_approx", no_draw)
+    code, out, err = run(capsys, "pattern-stats", "--pattern", "132", "--size", str(SIZE), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_consecutive_pattern_stats(capsys):

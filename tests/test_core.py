@@ -160,6 +160,12 @@ def test_occ_sampled_is_reproducible():
     assert first != other
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_occ_sampled_needs_a_positive_sample_count(samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        occ_proportion((1, 3, 2), (2, 4, 1, 3), samples=samples, rng=1)
+
+
 def test_enumerate_rejects_nonpositive_size():
     with pytest.raises(ValueError):
         enumerate_square(0)
