@@ -415,6 +415,15 @@ def cmd_local_stats(args: argparse.Namespace) -> int:
         if roots < 1:
             raise ValueError("root count must be positive")
     size = 2 * h + 1
+    # the limit table lists every pattern of the window size; checked
+    # before any draw
+    if h < 1:
+        raise ValueError("--radius must be at least 1")
+    if math.factorial(size) > DEFAULT_WORK_BOUND:
+        raise ValueError(
+            f"--radius {h} needs a limit table over {size}! = {math.factorial(size)} "
+            f"patterns, over the bound {DEFAULT_WORK_BOUND}; use a smaller --radius"
+        )
     totals: dict[tuple[int, ...], float] = {}
     windows_per_perm = (n - 2 * h) if roots == "all" else roots
     for k in range(count):
@@ -546,7 +555,7 @@ def _verify_checks(seed: int) -> list[tuple[str, Callable[[], None]]]:
                 q = reconstruct(project(p))
             except MatchingFailure:
                 continue
-            _require(is_square(tuple(int(v) for v in q)), f"{p} reconstructs to a non-square")
+            _require(is_square(q), f"{p} reconstructs to a non-square")
 
     def injectivity() -> None:
         seen = set()

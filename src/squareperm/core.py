@@ -101,30 +101,8 @@ def records(p: Sequence[int]) -> RecordSets:
     >>> sorted(r.lrmax), sorted(r.lrmin), sorted(r.rlmax), sorted(r.rlmin)
     ([1, 2], [1, 3], [2, 4], [3, 4])
     """
-    p = as_permutation(p)
-    n = len(p)
-    lrmax, lrmin, rlmax, rlmin = set(), set(), set(), set()
-    hi = lo = None
-    for i in range(1, n + 1):
-        v = p[i - 1]
-        if hi is None or v > hi:
-            hi = v
-            lrmax.add(i)
-        if lo is None or v < lo:
-            lo = v
-            lrmin.add(i)
-    hi = lo = None
-    for i in range(n, 0, -1):
-        v = p[i - 1]
-        if hi is None or v > hi:
-            hi = v
-            rlmax.add(i)
-        if lo is None or v < lo:
-            lo = v
-            rlmin.add(i)
-    return RecordSets(
-        frozenset(lrmax), frozenset(lrmin), frozenset(rlmax), frozenset(rlmin)
-    )
+    masks = _record_masks(_as_value_array(p))
+    return RecordSets(*(frozenset((np.flatnonzero(m) + 1).tolist()) for m in masks))
 
 
 def is_square(p: Sequence[int]) -> bool:
@@ -135,28 +113,7 @@ def is_square(p: Sequence[int]) -> bool:
     >>> is_square((8, 7, 5, 3, 2, 4, 6, 1))
     False
     """
-    p = as_permutation(p)
-    n = len(p)
-    seen = bytearray(n)
-    hi = lo = None
-    for i in range(n):
-        v = p[i]
-        if hi is None or v > hi:
-            hi = v
-            seen[i] = 1
-        if lo is None or v < lo:
-            lo = v
-            seen[i] = 1
-    hi = lo = None
-    for i in range(n - 1, -1, -1):
-        v = p[i]
-        if hi is None or v > hi:
-            hi = v
-            seen[i] = 1
-        if lo is None or v < lo:
-            lo = v
-            seen[i] = 1
-    return all(seen)
+    return bool(np.logical_or.reduce(_record_masks(_as_value_array(p))).all())
 
 
 def pattern_at(p: Sequence[int], positions: Iterable[int]) -> Perm:
@@ -186,10 +143,49 @@ def _as_value_array(p: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(p, dtype=np.int64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("permutation must be a nonempty 1-d sequence")
-    counts = np.bincount(arr, minlength=arr.size + 1)
-    if counts[0] != 0 or not (counts[1:] == 1).all():
+    # the range check first: bincount refuses negative values and would
+    # allocate one counter per value up to the largest
+    if (
+        arr.min() < 1
+        or arr.max() > arr.size
+        or not (np.bincount(arr, minlength=arr.size + 1)[1:] == 1).all()
+    ):
         raise ValueError(f"not a permutation of 1..{arr.size}")
     return arr
+
+
+def _record_masks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Boolean masks (lrmax, lrmin, rlmax, rlmin) over the positions of a
+    permutation.
+
+    Values are distinct, so no left-to-right maximum lies past the
+    largest value and no right-to-left maximum before it (minima
+    likewise around the smallest): each running extreme is accumulated
+    over its own side of the extreme only, about 2n steps in all.
+    """
+    n = arr.size
+    top, bottom = int(np.argmax(arr)), int(np.argmin(arr))
+    lrmax, lrmin, rlmax, rlmin = (np.zeros(n, dtype=bool) for _ in range(4))
+    for left, right, extreme, at in (
+        (lrmax, rlmax, np.maximum, top),
+        (lrmin, rlmin, np.minimum, bottom),
+    ):
+        head = arr[: at + 1]
+        np.equal(head, extreme.accumulate(head), out=left[: at + 1])
+        tail = arr[at:][::-1]
+        np.equal(tail, extreme.accumulate(tail), out=right[at:][::-1])
+    return lrmax, lrmin, rlmax, rlmin
+
+
+def _square_records(
+    p: Sequence[int] | np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """``p`` as an int64 array with its record masks; raises unless square."""
+    arr = _as_value_array(p)
+    masks = _record_masks(arr)
+    if not np.logical_or.reduce(masks).all():
+        raise ValueError("permutation is not square")
+    return arr, masks
 
 
 def _inversion_count(arr: np.ndarray) -> int:

@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from .core import _as_value_array
+from .core import _square_records
 
 __all__ = [
     "ALL_PETROV_CONDITIONS",
@@ -88,29 +88,6 @@ def _over(labels: object, alphabet: bytes) -> bool:
 
 class MatchingFailure(ValueError):
     """Label matching did not assemble into a permutation."""
-
-
-def _record_masks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boolean masks (lrmax, lrmin, rlmax, rlmin) over the positions of a
-    permutation.
-
-    Values are distinct, so no left-to-right maximum lies past the
-    largest value and no right-to-left maximum before it (minima
-    likewise around the smallest): each running extreme is accumulated
-    over its own side of the extreme only, about 2n steps in all.
-    """
-    n = arr.size
-    top, bottom = int(np.argmax(arr)), int(np.argmin(arr))
-    lrmax, lrmin, rlmax, rlmin = (np.zeros(n, dtype=bool) for _ in range(4))
-    for left, right, extreme, at in (
-        (lrmax, rlmax, np.maximum, top),
-        (lrmin, rlmin, np.minimum, bottom),
-    ):
-        head = arr[: at + 1]
-        np.equal(head, extreme.accumulate(head), out=left[: at + 1])
-        tail = arr[at:][::-1]
-        np.equal(tail, extreme.accumulate(tail), out=right[at:][::-1])
-    return lrmax, lrmin, rlmax, rlmin
 
 
 def _labels_to_string(mask: np.ndarray, when_true: str, when_false: str) -> str:
@@ -497,11 +474,8 @@ def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
     >>> project((4, 3, 2, 1))
     AnchoredPair(x='DDDD', y='LLLL', z0=4)
     """
-    arr = _as_value_array(p)
+    arr, (lrmax, lrmin, _, rlmin) = _square_records(p)
     n = arr.size
-    lrmax, lrmin, rlmax, rlmin = _record_masks(arr)
-    if not (lrmax | lrmin | rlmax | rlmin).all():
-        raise ValueError("permutation is not square")
     is_min = lrmin | rlmin  # ties (diagonal points) resolve to D
     is_left = lrmin | lrmax  # and to L
     is_min[0] = is_min[-1] = True
@@ -510,8 +484,7 @@ def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
     by_value[arr - 1] = is_left
     by_value[0] = by_value[-1] = True
     y = _labels_to_string(by_value, "L", "R")
-    z0 = int(np.flatnonzero(arr == 1)[0]) + 1
-    return AnchoredPair(x, y, z0)
+    return AnchoredPair(x, y, int(np.argmin(arr)) + 1)
 
 
 def _anchor_counts(pair: AnchoredPair) -> tuple[int, int, int, int]:

@@ -28,14 +28,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _as_value_array
-from .encoding import (
-    DEFAULT_PETROV_CONDITIONS,
-    AnchoredPair,
-    _record_masks,
-    reconstruct,
-)
-from .sampler import ensure_rng, replicate_rng, sample_conditioned
+from .core import _square_records
+from .encoding import DEFAULT_PETROV_CONDITIONS, AnchoredPair, reconstruct
+from .sampler import replicate_rng, sample_conditioned
 
 __all__ = [
     "AnchorAssumptionError",
@@ -137,12 +132,9 @@ def extract_families(
     assumption ``z0 > n/2 + 10 n^0.6``, which puts the whole top-left
     corner strictly before the anchor.
     """
-    arr = _as_value_array(p)
+    arr, (_, lrmin, rlmax, rlmin) = _square_records(p)
     n = arr.size
-    lrmax, lrmin, rlmax, rlmin = _record_masks(arr)
-    if not (lrmax | lrmin | rlmax | rlmin).all():
-        raise ValueError("permutation is not square")
-    z0 = int(np.flatnonzero(arr == 1)[0]) + 1
+    z0 = int(np.argmin(arr)) + 1
     if not z0 > _assumption_floor(n):
         raise AnchorAssumptionError(
             f"anchor z0={z0} must exceed n/2 + 10 n^0.6 = {_assumption_floor(n):.2f}"

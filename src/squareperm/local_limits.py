@@ -26,7 +26,6 @@ Fraction(1, 4)
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -34,8 +33,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from .core import _as_value_array, as_permutation, pattern_at
-from .encoding import _record_masks
+from .core import _as_value_array, _square_records, as_permutation, pattern_at
+from .encoding import project
 from .sampler import ensure_rng
 
 __all__ = [
@@ -127,15 +126,6 @@ def local_distance(
     return 2.0 ** (-agreed)
 
 
-def _x_label_is_d(arr: np.ndarray) -> np.ndarray:
-    lrmax, lrmin, rlmax, rlmin = _record_masks(arr)
-    if not (lrmax | lrmin | rlmax | rlmin).all():
-        raise ValueError("permutation is not square")
-    is_d = lrmin | rlmin
-    is_d[0] = is_d[-1] = True
-    return is_d
-
-
 def classify_phi(p: Sequence[int] | np.ndarray, i: int, h: int) -> WindowLabels:
     """Case tag and D-positions of the window of a square permutation.
 
@@ -151,9 +141,8 @@ def classify_phi(p: Sequence[int] | np.ndarray, i: int, h: int) -> WindowLabels:
         raise IndexError(f"root {i} out of range for size {n}")
     if h < 0:
         raise ValueError("radius must be nonnegative")
-    is_d = _x_label_is_d(arr)
-    z0 = int(np.flatnonzero(arr == 1)[0]) + 1
-    z2 = int(np.flatnonzero(arr == n)[0]) + 1
+    pair = project(arr)
+    z0, z2 = pair.z0, int(np.argmax(arr)) + 1
     if z0 <= z2 and z0 + h <= i <= z2 - h:
         tag: int | None = 1
     elif 1 + h <= i <= min(z0, z2) - h:
@@ -167,7 +156,7 @@ def classify_phi(p: Sequence[int] | np.ndarray, i: int, h: int) -> WindowLabels:
     lo = max(1, i - h)
     hi = min(n, i + h)
     d_set = frozenset(
-        x - (i - h) + 1 for x in range(lo, hi + 1) if is_d[x - 1]
+        x - (i - h) + 1 for x in range(lo, hi + 1) if pair.x[x - 1] == "D"
     )
     return WindowLabels(tag, d_set)
 
@@ -200,6 +189,29 @@ def build_psi(j: int, d_set: Iterable[int], h: int) -> RootedPattern:
     return RootedPattern(tuple(values), h + 1)
 
 
+def _separating_roots(p: Sequence[int] | np.ndarray, h: int) -> tuple[int, int, np.ndarray]:
+    """The valid roots ``lo..hi`` at radius ``h`` and, for each one, whether
+    its window has a separating line (``ok[i - lo]``), from one pair of
+    sliding min/max filters; see :func:`separating_line_exists`."""
+    if h < 0:
+        raise ValueError("radius must be nonnegative")
+    arr, (lrmax, lrmin, rlmax, rlmin) = _square_records(p)
+    z0, z2 = int(np.argmin(arr)) + 1, int(np.argmax(arr)) + 1
+    if z0 < z2:
+        lo, hi = z0 + h, z2 - h
+        hi_mask, lo_mask = lrmax, rlmin
+    else:
+        lo, hi = z2 + h, z0 - h
+        hi_mask, lo_mask = rlmax, lrmin
+    if lo > hi:
+        return lo, hi, np.zeros(0, dtype=bool)
+    vals = arr.astype(np.float64)
+    w = 2 * h + 1
+    win_hi = minimum_filter1d(np.where(hi_mask, vals, np.inf), w, mode="nearest")
+    win_lo = maximum_filter1d(np.where(lo_mask, vals, -np.inf), w, mode="nearest")
+    return lo, hi, win_hi[lo - 1 : hi] > win_lo[lo - 1 : hi]
+
+
 def separating_line_exists(p: Sequence[int] | np.ndarray, i: int, h: int) -> bool:
     """Whether the window around ``i`` splits cleanly into low and high parts.
 
@@ -210,54 +222,17 @@ def separating_line_exists(p: Sequence[int] | np.ndarray, i: int, h: int) -> boo
     orientation (tag 4, ``z2 < z0``) the record kinds swap.  Roots outside
     the corresponding tag range are rejected.
     """
-    arr = _as_value_array(p)
-    n = arr.size
-    lrmax, lrmin, rlmax, rlmin = _record_masks(arr)
-    if not (lrmax | lrmin | rlmax | rlmin).all():
-        raise ValueError("permutation is not square")
-    z0 = int(np.flatnonzero(arr == 1)[0]) + 1
-    z2 = int(np.flatnonzero(arr == n)[0]) + 1
-    if z0 < z2:
-        if not z0 + h <= i <= z2 - h:
-            raise ValueError(f"root {i} outside [{z0 + h}, {z2 - h}]")
-        hi_mask, lo_mask = lrmax, rlmin
-    else:
-        if not z2 + h <= i <= z0 - h:
-            raise ValueError(f"root {i} outside [{z2 + h}, {z0 - h}]")
-        hi_mask, lo_mask = rlmax, lrmin
-    window = slice(i - h - 1, i + h)
-    vals = arr[window]
-    hi = vals[hi_mask[window]]
-    lo = vals[lo_mask[window]]
-    m_hi = hi.min() if hi.size else math.inf
-    m_lo = lo.max() if lo.size else -math.inf
-    return m_hi > m_lo
+    lo, hi, ok = _separating_roots(p, h)
+    if not lo <= i <= hi:
+        raise ValueError(f"root {i} outside [{lo}, {hi}]")
+    return bool(ok[i - lo])
 
 
 def separating_failure_rate(p: Sequence[int] | np.ndarray, h: int) -> float:
     """Fraction of valid roots whose window has no separating line."""
-    arr = _as_value_array(p)
-    lrmax, lrmin, rlmax, rlmin = _record_masks(arr)
-    if not (lrmax | lrmin | rlmax | rlmin).all():
-        raise ValueError("permutation is not square")
-    n = arr.size
-    z0 = int(np.flatnonzero(arr == 1)[0]) + 1
-    z2 = int(np.flatnonzero(arr == n)[0]) + 1
-    if z0 < z2:
-        lo_i, hi_i = z0 + h, z2 - h
-        hi_mask, lo_mask = lrmax, rlmin
-    else:
-        lo_i, hi_i = z2 + h, z0 - h
-        hi_mask, lo_mask = rlmax, lrmin
-    if lo_i > hi_i:
+    lo, hi, ok = _separating_roots(p, h)
+    if lo > hi:
         raise ValueError("no valid roots at this radius")
-    vals = arr.astype(np.float64)
-    hi_vals = np.where(hi_mask, vals, np.inf)
-    lo_vals = np.where(lo_mask, vals, -np.inf)
-    w = 2 * h + 1
-    win_hi = minimum_filter1d(hi_vals, w, mode="nearest")
-    win_lo = maximum_filter1d(lo_vals, w, mode="nearest")
-    ok = win_hi[lo_i - 1 : hi_i] > win_lo[lo_i - 1 : hi_i]
     return float(1.0 - ok.mean())
 
 

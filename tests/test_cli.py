@@ -201,6 +201,36 @@ def test_pattern_stats_refuses_an_infeasible_exact_count_before_drawing(capsys, 
     assert "samples=" not in err
 
 
+@pytest.mark.parametrize(
+    "radius, message",
+    [
+        ("-1", "--radius must be at least 1"),
+        ("0", "--radius must be at least 1"),
+        ("5", "--radius 5 needs a limit table over 11! = 39916800 patterns"),
+    ],
+)
+def test_local_stats_refuses_a_bad_radius_before_drawing(capsys, monkeypatch, radius, message):
+    def no_draw(*args, **kwargs):
+        pytest.fail("local-stats drew a permutation before checking the radius")
+
+    monkeypatch.setattr(cli, "sample_square_approx", no_draw)
+    code, out, err = run(capsys, "local-stats", "--size", str(SIZE), "--radius", radius)
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_local_stats_accepts_radius_4(monkeypatch):
+    class Drawn(Exception):
+        pass
+
+    def draw(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(cli, "sample_square_approx", draw)
+    with pytest.raises(Drawn):
+        main(["local-stats", "--size", str(SIZE), "--radius", "4"])
+
+
 def test_pattern_stats_estimates_a_classical_132_with_samples(capsys):
     code, out, err = run(
         capsys, "pattern-stats", "--pattern", "132", "--size", str(SIZE),

@@ -79,6 +79,17 @@ def test_known_non_square():
     assert not is_square((2, 5, 3, 1, 4))
 
 
+@pytest.mark.parametrize("f", [records, is_square])
+def test_records_validate_like_every_array_entry_point(f):
+    for bad in ("2413", [], [[1, 2]]):
+        with pytest.raises(ValueError, match="^permutation must be a nonempty 1-d sequence$"):
+            f(bad)
+    # out-of-range values are refused before any counting, huge ones included
+    for bad in ([-1, 1, 2], [0, 1], [1, 10**12], [1, 2, 2]):
+        with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.\d$"):
+            f(bad)
+
+
 @given(small_perms)
 def test_records_cover_extremes(p):
     r = records(p)

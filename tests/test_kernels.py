@@ -6,8 +6,9 @@ inversion count against a pair count, consecutive occurrences against
 box distance against the scalar ``mu_z_rect`` and explicit maxima over
 grid rectangles, and the block-screened Petrov window check against the
 min/max filter pair alone.  The round-trip kernels (label tables, the
-Petrov check, label matching, record masks and the fluctuation families)
-are checked against their earlier straightforward versions, kept here.
+Petrov check, label matching, record masks, the separating-line test and
+the fluctuation families) are checked against their earlier
+straightforward versions, kept here.
 """
 
 from __future__ import annotations
@@ -27,12 +28,15 @@ from squareperm import (
     MatchingFailure,
     PetrovReport,
     build_lambdas,
+    is_square,
+    records,
     extract_families,
     project,
     reconstruct,
     sample_conditioned,
     sample_good,
     sample_regular,
+    sample_square_approx,
     RootedPattern,
     box_distance_grid,
     coc_proportion,
@@ -47,9 +51,10 @@ from squareperm import (
     restrict,
 )
 from squareperm import encoding, sampler
-from squareperm.core import _as_value_array, _inversion_count
+from squareperm.core import _as_value_array, _inversion_count, _record_masks, _square_records
 from squareperm.encoding import ALL_PETROV_CONDITIONS, PetrovViolation
 from squareperm.fluctuations import AnchorAssumptionError, PointFamily, _assumption_floor
+from squareperm.local_limits import separating_failure_rate, separating_line_exists
 from squareperm.permuton import _mu_z_grid_cdf
 
 
@@ -613,9 +618,94 @@ def test_record_masks_match_the_oracle():
              for p in itertools.permutations(range(1, n + 1))]
     perms += [np.asarray(random_perm(n, n)) for n in (100, 1001)]
     for arr in perms:
-        for got, want in zip(encoding._record_masks(arr), old_record_masks(arr)):
-            assert got.dtype == want.dtype == bool
-            assert np.array_equal(got, want)
+        want = old_record_masks(arr)
+        for got, w in zip(_record_masks(arr), want):
+            assert got.dtype == w.dtype == bool
+            assert np.array_equal(got, w)
+        r = records(arr.tolist())
+        assert (r.lrmax, r.lrmin, r.rlmax, r.rlmin) == tuple(
+            frozenset((np.flatnonzero(w) + 1).tolist()) for w in want
+        )
+        square = bool((want[0] | want[1] | want[2] | want[3]).all())
+        assert is_square(tuple(arr.tolist())) is square
+        got = outcome(_square_records, arr)
+        if square:
+            assert np.array_equal(got[0], arr) and got[0].dtype == np.int64
+            for g, w in zip(got[1], want):
+                assert np.array_equal(g, w)
+        else:
+            assert got == (ValueError, "permutation is not square")
+
+
+def old_window_separates(arr, hi_mask, lo_mask, i, h):
+    window = slice(i - h - 1, i + h)
+    vals = arr[window]
+    hi = vals[hi_mask[window]]
+    lo = vals[lo_mask[window]]
+    m_hi = hi.min() if hi.size else math.inf
+    m_lo = lo.max() if lo.size else -math.inf
+    return m_hi > m_lo
+
+
+def old_separating_line_exists(p, i, h):
+    """The explicit window test: smallest high value against largest low."""
+    arr = _as_value_array(p)
+    n = arr.size
+    lrmax, lrmin, rlmax, rlmin = old_record_masks(arr)
+    if not (lrmax | lrmin | rlmax | rlmin).all():
+        raise ValueError("permutation is not square")
+    z0 = int(np.flatnonzero(arr == 1)[0]) + 1
+    z2 = int(np.flatnonzero(arr == n)[0]) + 1
+    if z0 < z2:
+        if not z0 + h <= i <= z2 - h:
+            raise ValueError(f"root {i} outside [{z0 + h}, {z2 - h}]")
+        hi_mask, lo_mask = lrmax, rlmin
+    else:
+        if not z2 + h <= i <= z0 - h:
+            raise ValueError(f"root {i} outside [{z2 + h}, {z0 - h}]")
+        hi_mask, lo_mask = rlmax, lrmin
+    return old_window_separates(arr, hi_mask, lo_mask, i, h)
+
+
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_separating_lines_match_the_window_oracle_on_every_small_permutation(h):
+    for n in range(1, 8):
+        for p in itertools.permutations(range(1, n + 1)):
+            verdicts = []
+            for i in range(0, n + 2):
+                want = outcome(old_separating_line_exists, p, i, h)
+                assert outcome(separating_line_exists, p, i, h) == want
+                if not isinstance(want, tuple):
+                    verdicts.append(want)
+            rate = outcome(separating_failure_rate, p, h)
+            if verdicts:
+                assert rate == float(1.0 - np.mean(verdicts))
+            elif outcome(old_separating_line_exists, p, 1, h) == (
+                ValueError, "permutation is not square"
+            ):
+                assert rate == (ValueError, "permutation is not square")
+            else:
+                assert rate == (ValueError, "no valid roots at this radius")
+
+
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_separating_lines_match_the_window_oracle_on_draws(h):
+    rng = np.random.default_rng(h)
+    for seed in range(3):
+        perm = sample_square_approx(20_000, seed)
+        for p in (perm, perm[::-1].copy()):  # both orientations of the anchors
+            lrmax, lrmin, rlmax, rlmin = old_record_masks(p)
+            z0, z2 = int(np.argmin(p)) + 1, int(np.argmax(p)) + 1
+            hi_mask, lo_mask = (lrmax, rlmin) if z0 < z2 else (rlmax, lrmin)
+            lo, hi = min(z0, z2) + h, max(z0, z2) - h
+            ok = [old_window_separates(p, hi_mask, lo_mask, i, h) for i in range(lo, hi + 1)]
+            assert separating_failure_rate(p, h) == float(1.0 - np.mean(ok))
+            for i in [lo, hi, *rng.integers(lo, hi + 1, size=200).tolist()]:
+                assert separating_line_exists(p, i, h) == ok[i - lo]
+            for i in (lo - 1, hi + 1):
+                assert outcome(separating_line_exists, p, i, h) == outcome(
+                    old_separating_line_exists, p, i, h
+                )
 
 
 def assert_same_families(got, want):

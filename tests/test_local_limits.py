@@ -124,6 +124,11 @@ def test_separating_line_frozen_examples():
         separating_line_exists((2, 4, 1, 3), 2, 1)  # no window between anchors
     assert separating_failure_rate(tuple(range(1, 8)), 1) == 1.0
     assert separating_failure_rate((1, 2, 3, 5, 4, 7, 6), 1) == 0.75
+    # a negative radius has an empty window: refused, not a vacuous pass
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        separating_line_exists((1, 2, 3, 5, 4, 7, 6), 5, -1)
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        separating_failure_rate((1, 2, 3, 5, 4, 7, 6), -1)
 
 
 def test_e_counts_frozen_values():
