@@ -1,9 +1,10 @@
 """Command-line front end for the square-permutation toolkit.
 
-Every subcommand is seeded and deterministic: a report embeds the full
-resolved configuration, and rerunning with that configuration reproduces
-the report byte for byte.  JSON reports carry a schema-version field,
-floats are printed to 12 significant digits, exact rationals as ``p/q``.
+Every subcommand is deterministic, and every one that draws takes a
+master ``--seed``: a report embeds the full resolved configuration, and
+rerunning with that configuration reproduces the report byte for byte.
+JSON reports carry a schema-version field, floats are printed to 12
+significant digits, exact rationals as ``p/q``.
 ``--output`` redirects the payload; logs and errors go to stderr, and the
 exit status is 0 only when everything the subcommand asserted holds.
 
@@ -21,7 +22,9 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -49,12 +52,10 @@ from .encoding import (
 )
 from .fluctuations import (
     PATH_KINDS,
+    _endpoint_stats,
     component_families,
-    endpoint_stats,
     extract_families,
-    replicate_path_values,
     rotate_families,
-    stats_from_values,
 )
 from .local_limits import (
     classify_phi,
@@ -170,6 +171,17 @@ def _dumps(obj: Any, level: int = 0) -> str:
     return brackets[0] + pad + ("," + pad).join(parts) + "\n" + "  " * level + brackets[1]
 
 
+def _config(args: argparse.Namespace, **resolved: Any) -> dict[str, Any]:
+    """The report's config block: the parsed options that shape the payload.
+
+    ``resolved`` lays the resolved seed and normalized values over the raw
+    ones; options left unset are dropped.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "threads", "output")}
+    config.update(resolved)
+    return {k: v for k, v in config.items() if v is not None}
+
+
 def _report(config: dict[str, Any], body: dict[str, Any]) -> str:
     doc = {"schema": SCHEMA, "version": __version__, "config": _jsonable(config)}
     doc.update(_jsonable(body))
@@ -225,18 +237,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.format == "plain":
         _emit("".join(_perm_line(p) + "\n" for p in perms), args)
         return 0
-    config = {
-        "command": "sample",
-        "size": n,
-        "count": count,
-        "mode": args.mode,
-        "seed": seed,
-        "format": args.format,
-    }
     body: dict[str, Any] = {"permutations": perms}
     if attempts:
         body["attempts"] = attempts
-    _emit(_report(config, body), args)
+    _emit(_report(_config(args, seed=seed), body), args)
     return 0
 
 
@@ -254,9 +258,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "plain":
         _emit(f"{value}\n", args)
         return 0 if match is not False else 1
-    config = {"command": "enumerate", "size": n, "format": args.format}
     body = {"n": n, "formula": formula, "exhaustive": exhaustive, "match": match}
-    _emit(_report(config, body), args)
+    _emit(_report(_config(args), body), args)
     return 0 if match is not False else 1
 
 
@@ -269,8 +272,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     if args.format == "plain":
         _emit(pair.to_text(), args)
         return 0
-    config = {"command": "encode", "perm": _perm_line(p), "format": args.format}
-    _emit(_report(config, {"pair": pair.to_json_obj()}), args)
+    _emit(_report(_config(args, perm=_perm_line(p)), {"pair": pair.to_json_obj()}), args)
     return 0
 
 
@@ -282,14 +284,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.format == "plain":
         _emit(_perm_line(perm) + "\n", args)
         return 0
-    config = {
-        "command": "decode",
-        "x": args.x,
-        "y": args.y,
-        "z0": args.z0,
-        "format": args.format,
-    }
-    _emit(_report(config, {"permutation": perm}), args)
+    _emit(_report(_config(args), {"permutation": perm}), args)
     return 0
 
 
@@ -316,15 +311,7 @@ def cmd_permuton_distance(args: argparse.Namespace) -> int:
             )
         _emit("\n".join(lines) + "\n", args)
         return 0
-    config = {
-        "command": "permuton-distance",
-        "size": n,
-        "grid": G,
-        "samples": samples,
-        "seed": seed,
-        "format": args.format,
-    }
-    _emit(_report(config, {"rows": rows}), args)
+    _emit(_report(_config(args, seed=seed), {"rows": rows}), args)
     return 0
 
 
@@ -335,15 +322,8 @@ def cmd_pattern_limit(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     pi = _parse_perm(args.pattern)
     est, err = lambda_estimate(pi, args.z, args.trials, replicate_rng(seed, 0))
-    config = {
-        "command": "pattern-limit",
-        "pattern": _perm_key(pi),
-        "z": args.z,
-        "trials": args.trials,
-        "seed": seed,
-        "format": args.format,
-    }
-    _emit(_report(config, {"estimate": est, "stderr": err}), args)
+    body = {"estimate": est, "stderr": err}
+    _emit(_report(_config(args, seed=seed, pattern=_perm_key(pi)), body), args)
     return 0
 
 
@@ -358,33 +338,11 @@ def cmd_fluctuations(args: argparse.Namespace) -> int:
         raise ValueError("anchor fraction must lie strictly between 0.5 and 1")
     times = _parse_times(args.times)
     t_n = int(frac * n)
-    if threads == 1:
-        stats = endpoint_stats(n, t_n, times, reps, seed)
-    else:
-        values = np.empty((3, reps, len(times)))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(
-                replicate_path_values,
-                [n] * reps,
-                [t_n] * reps,
-                [times] * reps,
-                [seed] * reps,
-                range(reps),
-                chunksize=max(1, reps // (4 * threads)),
-            )
-            for k, block in enumerate(results):
-                values[:, k, :] = block
-        stats = stats_from_values(times, values)
-    config = {
-        "command": "fluctuations",
-        "size": n,
-        "anchor_fraction": frac,
-        "anchor": t_n,
-        "replicates": reps,
-        "times": list(times),
-        "seed": seed,
-        "format": args.format,
-    }
+    # the executor is the only thing the thread count changes
+    with ProcessPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        chunk = max(1, reps // (4 * threads))
+        mapper = map if pool is None else partial(pool.map, chunksize=chunk)
+        stats = _endpoint_stats(mapper, n, t_n, times, reps, seed)
     body = {
         "variances": {k: stats.variances[k] for k in PATH_KINDS},
         "variance_se": {k: stats.variance_se[k] for k in PATH_KINDS},
@@ -395,7 +353,7 @@ def cmd_fluctuations(args: argparse.Namespace) -> int:
             f"{a}:{b}": v for (a, b), v in stats.covariance_target.items()
         },
     }
-    _emit(_report(config, body), args)
+    _emit(_report(_config(args, seed=seed, anchor=t_n, times=list(times)), body), args)
     return 0
 
 
@@ -445,22 +403,13 @@ def cmd_local_stats(args: argparse.Namespace) -> int:
         p = float(p_theory)
         se = math.sqrt(p * (1.0 - p) / total_windows)
         z_scores[key] = (freq - p) / se if se > 0 else 0.0
-    config = {
-        "command": "local-stats",
-        "size": n,
-        "radius": h,
-        "roots": args.roots,
-        "count": count,
-        "seed": seed,
-        "format": args.format,
-    }
     body = {
         "frequencies": freqs,
         "theory": theory,
         "z_scores": z_scores,
         "windows": total_windows,
     }
-    _emit(_report(config, body), args)
+    _emit(_report(_config(args, seed=seed), body), args)
     return 0
 
 
@@ -515,21 +464,10 @@ def cmd_pattern_stats(args: argparse.Namespace) -> int:
     }
     if samples is None and not args.consecutive and len(pi) == 2:
         body["complement_exact"] = bool(complement_exact)
-    config = {
-        "command": "pattern-stats",
-        "pattern": _perm_key(pi),
-        "size": n,
-        "count": count,
-        "consecutive": bool(args.consecutive),
-        "seed": seed,
-        "format": args.format,
-    }
-    if samples is not None:
-        config["samples"] = samples
     if args.format == "plain":
         _emit(f"{body['mean']:.12g}\n", args)
         return 0
-    _emit(_report(config, body), args)
+    _emit(_report(_config(args, seed=seed, pattern=_perm_key(pi)), body), args)
     return 0
 
 
@@ -675,12 +613,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "plain":
         _emit("\n".join(lines + [summary]) + "\n", args)
     else:
-        config = {"command": "verify", "seed": seed, "format": args.format}
-        _emit(_report(config, {"results": results, "passed": failures == 0}), args)
+        body = {"results": results, "passed": failures == 0}
+        _emit(_report(_config(args, seed=seed), body), args)
     return 0 if failures == 0 else 1
 
 
 # ------------------------------------------------------------------ main
+
+
+def _add_seed(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--seed", type=int, default=None, help="master seed (default: env SQUAREPERM_SEED or 0)")
 
 
 def _add_common(
@@ -688,7 +630,6 @@ def _add_common(
     formats: tuple[str, ...] = ("json", "plain"),
     default_format: str = "json",
 ) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="master seed (default: env SQUAREPERM_SEED or 0)")
     sp.add_argument("--threads", type=int, default=None, help="replicate parallelism (default: env SQUAREPERM_THREADS or 1)")
     sp.add_argument("--output", type=str, default=None, help="write the payload to a file instead of stdout")
     sp.add_argument("--format", choices=formats, default=default_format, help=f"payload format (default {default_format})")
@@ -711,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="approx",
         help="approx: reconstruct a regular pair; exact: enumerate (small n); regular: same draw, reported with attempt counts",
     )
+    _add_seed(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_sample)
 
@@ -738,6 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--samples", type=int, default=20)
+    _add_seed(sp)
     _add_common(sp, formats=("csv", "json"), default_format="csv")
     sp.set_defaults(func=cmd_permuton_distance)
 
@@ -745,6 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", type=str, required=True)
     sp.add_argument("--z", type=float, required=True)
     sp.add_argument("--trials", type=int, default=10_000)
+    _add_seed(sp)
     _add_common(sp, formats=("json",))
     sp.set_defaults(func=cmd_pattern_limit)
 
@@ -753,6 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--anchor-fraction", type=float, default=0.7)
     sp.add_argument("--replicates", type=int, default=400)
     sp.add_argument("--times", type=str, default="0.25,0.5,0.75,1.0")
+    _add_seed(sp)
     _add_common(sp, formats=("json",))
     sp.set_defaults(func=cmd_fluctuations)
 
@@ -761,6 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=int, default=1)
     sp.add_argument("--roots", type=str, default="all", help="'all' or a Monte Carlo root count")
     sp.add_argument("--count", type=int, default=1, help="permutations to average over")
+    _add_seed(sp)
     _add_common(sp, formats=("json",))
     sp.set_defaults(func=cmd_local_stats)
 
@@ -774,10 +720,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="estimate classical proportions from N uniform position subsets per permutation; "
         "per_sample entries become [estimate, standard error]",
     )
+    _add_seed(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_pattern_stats)
 
     sp = sub.add_parser("verify", help="run the invariant self-checks")
+    _add_seed(sp)
     _add_common(sp, formats=("plain", "json"), default_format="plain")
     sp.set_defaults(func=cmd_verify)
 

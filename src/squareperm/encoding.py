@@ -452,8 +452,11 @@ def is_regular(
     """
     if not pair.good:
         raise ValueError("pair is not good")
-    if not margin_ok(pair.n, pair.z0):
-        return False
+    return margin_ok(pair.n, pair.z0) and passes_petrov(pair, conditions)
+
+
+def passes_petrov(pair: AnchoredPair, conditions: Iterable[int]) -> bool:
+    """Both label strings of ``pair`` pass the Petrov screen."""
     return (
         petrov_check(pair.x_stats, pair.n, conditions).passed
         and petrov_check(pair.y_stats, pair.n, conditions).passed

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .core import _square_records
-from .encoding import DEFAULT_PETROV_CONDITIONS, AnchoredPair, reconstruct
+from .encoding import AnchoredPair, reconstruct
 from .sampler import replicate_rng, sample_conditioned
 
 __all__ = [
@@ -333,38 +334,21 @@ def conditioning_interval(n: int) -> tuple[float, float]:
     return _assumption_floor(n), n - float(n) ** 0.9
 
 
-def _path_values(
-    stream: np.random.Generator,
-    n: int,
-    t_n: int,
-    t_arr: np.ndarray,
-    conditions: tuple[int, ...],
-) -> np.ndarray:
-    pair, _ = sample_conditioned(n, t_n, stream, conditions)
-    perm = reconstruct(pair)
-    rotated = rotate_families(pair, extract_families(perm))
-    comps = component_families(pair)
-    _check_sample_invariants(pair, rotated, comps)
-    return np.stack([path_F(fam)(t_arr) for fam in rotated])
-
-
 def replicate_path_values(
-    n: int,
-    t_n: int,
-    times: tuple[float, ...],
-    seed: int,
-    k: int,
-    conditions: Iterable[int] = DEFAULT_PETROV_CONDITIONS,
+    n: int, t_n: int, times: tuple[float, ...], seed: int, k: int
 ) -> np.ndarray:
     """Path values (3, len(times)) of replicate ``k`` under master ``seed``.
 
     Pure in its arguments, so replicates can run on any executor in any
     order and still assemble into the same statistics.
     """
+    pair, _ = sample_conditioned(n, t_n, replicate_rng(seed, k))
+    perm = reconstruct(pair)
+    rotated = rotate_families(pair, extract_families(perm))
+    comps = component_families(pair)
+    _check_sample_invariants(pair, rotated, comps)
     t_arr = np.asarray(tuple(float(t) for t in times))
-    return _path_values(
-        replicate_rng(seed, k), n, t_n, t_arr, tuple(conditions)
-    )
+    return np.stack([path_F(fam)(t_arr) for fam in rotated])
 
 
 def stats_from_values(times: Iterable[float], values: np.ndarray) -> EndpointStats:
@@ -419,19 +403,33 @@ def endpoint_stats(
     times: Iterable[float] = (0.25, 0.5, 0.75, 1.0),
     replicates: int = 400,
     rng: np.random.Generator | int | None = None,
-    conditions: Iterable[int] = DEFAULT_PETROV_CONDITIONS,
 ) -> EndpointStats:
     """Monte Carlo endpoint moments of the three paths at anchor ``t_n``.
 
     Each replicate draws a Petrov-regular pair conditioned on the anchor,
     reconstructs, extracts and rotates the families, checks the exact
     integer invariants, and records path values at the requested times.
-    Replicate k uses the stream ``replicate_rng(seed, k)`` when ``rng`` is
-    a seed (or None), so results do not depend on execution order.
+    Replicate k uses the stream ``replicate_rng(seed, k)``, so results do
+    not depend on execution order; a generator (or None, fresh entropy)
+    supplies the master seed with one draw.
 
     Limit targets: variance 2t per path, covariance t for (DR, DL) and
     (DR, UR), 0 for (DL, UR).
     """
+    return _endpoint_stats(map, n, t_n, times, replicates, rng)
+
+
+def _endpoint_stats(
+    mapper: Callable[..., Iterable[np.ndarray]],
+    n: int,
+    t_n: int,
+    times: Iterable[float],
+    replicates: int,
+    rng: np.random.Generator | int | None,
+) -> EndpointStats:
+    """:func:`endpoint_stats` with its replicates run through ``mapper``,
+    the builtin ``map`` or an executor's; every argument is checked
+    before the first draw."""
     lo, hi = conditioning_interval(n)
     if not lo < hi:
         raise ValueError(
@@ -443,14 +441,14 @@ def endpoint_stats(
     if replicates < 2:
         raise ValueError("need at least two replicates")
     times = tuple(float(t) for t in times)
-    t_arr = np.asarray(times)
-    conds = tuple(conditions)
-    values = np.empty((3, replicates, len(times)))
-    if isinstance(rng, np.random.Generator):
-        for k in range(replicates):
-            values[:, k, :] = _path_values(rng, n, t_n, t_arr, conds)
-    else:
-        seed = int(np.random.default_rng(rng).integers(2**63)) if rng is None else int(rng)
-        for k in range(replicates):
-            values[:, k, :] = _path_values(replicate_rng(seed, k), n, t_n, t_arr, conds)
-    return stats_from_values(times, values)
+    if rng is None or isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng).integers(2**63)
+    blocks = mapper(
+        replicate_path_values,
+        repeat(n, replicates),
+        repeat(t_n, replicates),
+        repeat(times, replicates),
+        repeat(int(rng), replicates),
+        range(replicates),
+    )
+    return stats_from_values(times, np.stack(list(blocks), axis=1))

@@ -13,6 +13,11 @@ n = 10^7, so at practical sizes the draw is not uniform on all squares
 (ROADMAP item 1).  For sizes up to 10 an exact-uniform oracle
 draws from the exhaustive enumeration.
 
+``sample_good``, ``sample_regular`` and ``sample_conditioned`` run one
+rejection loop and differ only in what they hand it: the anchor law
+(uniform; uniform, with anchors outside the margin rejected; fixed) and
+whether both label strings must pass the Petrov screen.
+
 Generators follow a two-level scheme: ``replicate_rng(master, k)`` derives
 the stream for replicate ``k``, so parallel and serial runs agree
 draw-for-draw per replicate index.
@@ -20,9 +25,10 @@ draw-for-draw per replicate index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,7 +37,7 @@ from .encoding import (
     DEFAULT_PETROV_CONDITIONS,
     AnchoredPair,
     margin_ok,
-    petrov_check,
+    passes_petrov,
     project,
     reconstruct,
 )
@@ -48,8 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ATTEMPTS = 1_000_000
-
-RngLike = "np.random.Generator | int | None"
 
 
 @dataclass
@@ -114,6 +118,42 @@ def _anchor_label_is_d(rng: np.random.Generator, n: int, z0: int) -> bool:
     return int(rng.integers(0, 2)) == 0
 
 
+def _rejection_loop(
+    rng: np.random.Generator | int | None,
+    n: int,
+    draw_anchor: Callable[[np.random.Generator], int | None],
+    conditions: tuple[int, ...] | None,
+    max_attempts: float,
+    exhausted: str,
+) -> tuple[AnchoredPair, SamplerStats]:
+    """The one rejection loop behind every sampler, with its accounting.
+
+    Each attempt redraws everything, cheap checks first: ``draw_anchor``
+    gives the anchor, or None for one outside the margin; the anchor
+    column must then read ``D`` (one coin flip); only a surviving attempt
+    draws its label strings and, unless ``conditions`` is None, screens
+    both with Petrov.  The rejection order does not change the
+    conditioned law.  Raises :class:`SamplingBudgetExceeded` with the
+    message ``exhausted`` after ``max_attempts`` attempts.
+    """
+    gen = ensure_rng(rng)
+    stats = SamplerStats()
+    while stats.attempts < max_attempts:
+        stats.attempts += 1
+        z0 = draw_anchor(gen)
+        if z0 is None:
+            stats.rejects_margin += 1
+            continue
+        if not _anchor_label_is_d(gen, n, z0):
+            stats.rejects_anchor_label += 1
+            continue
+        pair = _draw_pair(gen, n, z0)
+        if conditions is None or passes_petrov(pair, conditions):
+            return pair, stats
+        stats.rejects_petrov += 1
+    raise SamplingBudgetExceeded(exhausted, stats)
+
+
 def sample_good(n: int, rng: np.random.Generator | int | None = None) -> AnchoredPair:
     """Exactly uniform draw from the good anchored pairs of size ``n``.
 
@@ -123,11 +163,9 @@ def sample_good(n: int, rng: np.random.Generator | int | None = None) -> Anchore
     """
     if n < 3:
         raise ValueError("good pairs need n >= 3")
-    gen = ensure_rng(rng)
-    while True:
-        z0 = int(gen.integers(1, n + 1))
-        if _anchor_label_is_d(gen, n, z0):
-            return _draw_pair(gen, n, z0)
+    # no screen and no budget: the loop ends with probability one
+    pair, _ = _rejection_loop(rng, n, lambda gen: int(gen.integers(1, n + 1)), None, math.inf, "")
+    return pair
 
 
 def sample_regular(
@@ -138,36 +176,20 @@ def sample_regular(
 ) -> tuple[AnchoredPair, SamplerStats]:
     """Uniform draw from the regular good pairs, with rejection accounting.
 
-    Each attempt redraws everything; cheap checks run first (the margin
-    needs only the anchor, the anchor label one coin flip), so full label
-    strings and Petrov checks only materialize for surviving attempts.
-    The rejection order does not change the conditioned law.
+    The anchor is uniform over columns; one outside the margin is a
+    margin reject, before any other draw.
     """
     if n < 3:
         raise ValueError("regular pairs need n >= 3")
-    gen = ensure_rng(rng)
-    stats = SamplerStats()
-    conditions = tuple(conditions)
-    while stats.attempts < max_attempts:
-        stats.attempts += 1
+
+    def uniform_in_margin(gen: np.random.Generator) -> int | None:
         z0 = int(gen.integers(1, n + 1))
-        if not margin_ok(n, z0):
-            stats.rejects_margin += 1
-            continue
-        if not _anchor_label_is_d(gen, n, z0):
-            stats.rejects_anchor_label += 1
-            continue
-        pair = _draw_pair(gen, n, z0)
-        if (
-            petrov_check(pair.x_stats, n, conditions).passed
-            and petrov_check(pair.y_stats, n, conditions).passed
-        ):
-            return pair, stats
-        stats.rejects_petrov += 1
-    raise SamplingBudgetExceeded(
+        return z0 if margin_ok(n, z0) else None
+
+    return _rejection_loop(
+        rng, n, uniform_in_margin, tuple(conditions), max_attempts,
         f"no regular pair of size {n} within {max_attempts} attempts "
         "(the margin interval is empty below n=1024)",
-        stats,
     )
 
 
@@ -188,33 +210,15 @@ def sample_conditioned(
         raise ValueError("good pairs need n >= 3")
     if not 1 <= z0 <= n:
         raise ValueError("anchor out of range")
-    gen = ensure_rng(rng)
-    stats = SamplerStats()
-    conditions = tuple(conditions)
-    while stats.attempts < max_attempts:
-        stats.attempts += 1
-        if not _anchor_label_is_d(gen, n, z0):
-            stats.rejects_anchor_label += 1
-            continue
-        pair = _draw_pair(gen, n, z0)
-        if (
-            petrov_check(pair.x_stats, n, conditions).passed
-            and petrov_check(pair.y_stats, n, conditions).passed
-        ):
-            return pair, stats
-        stats.rejects_petrov += 1
-    raise SamplingBudgetExceeded(
+    return _rejection_loop(
+        rng, n, lambda gen: z0, tuple(conditions), max_attempts,
         f"no Petrov-passing pair of size {n} anchored at {z0} "
         f"within {max_attempts} attempts",
-        stats,
     )
 
 
 def sample_square_approx(
-    n: int,
-    rng: np.random.Generator | int | None = None,
-    conditions: Iterable[int] = DEFAULT_PETROV_CONDITIONS,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    n: int, rng: np.random.Generator | int | None = None
 ) -> np.ndarray:
     """Square permutation of size ``n`` from a uniform regular pair.
 
@@ -224,7 +228,7 @@ def sample_square_approx(
     the square permutations at n = 10^5 and 60% at n = 10^7, so not
     uniform on all of them at the sizes in use (ROADMAP item 1).
     """
-    pair, _ = sample_regular(n, rng, conditions, max_attempts)
+    pair, _ = sample_regular(n, rng)
     p = reconstruct(pair)
     # cheap guard: projecting again must reproduce the pair we built from
     if project(p) != pair:

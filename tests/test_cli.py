@@ -315,6 +315,102 @@ def test_threading_does_not_change_the_report(capsys):
     assert "P_DR:P_DL" in body["covariances"]
 
 
+@pytest.mark.parametrize("fraction", ["0.6", "0.7"])
+def test_threading_does_not_change_an_anchor_refusal(capsys, monkeypatch, fraction):
+    # both anchors lie outside (31597.5, 33053.8], the interval at n = 50000
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = (
+        "fluctuations", "--size", "50000", "--anchor-fraction", fraction,
+        "--replicates", "4", "--times", "0.5,1.0", "--seed", "14",
+    )
+    serial = run(capsys, *args, "--threads", "1")
+    threaded = run(capsys, *args, "--threads", "2")
+    assert serial[0] == 1 and serial[1] == ""
+    assert serial[2].startswith("error: t_n=")
+    assert threaded == serial
+
+
+# the config block of every JSON-reporting subcommand, as the reports wrote
+# it when each subcommand built its dict by hand
+REPORT_CONFIGS = [
+    (
+        ["sample", "--size", "2048", "--seed", "3"],
+        {"command": "sample", "count": 1, "format": "json", "mode": "approx", "seed": 3, "size": 2048},
+    ),
+    (
+        ["sample", "--size", "2048", "--count", "2", "--mode", "regular", "--seed", "4", "--threads", "1"],
+        {"command": "sample", "count": 2, "format": "json", "mode": "regular", "seed": 4, "size": 2048},
+    ),
+    (
+        ["sample", "--size", "6", "--mode", "exact"],
+        {"command": "sample", "count": 1, "format": "json", "mode": "exact", "seed": 0, "size": 6},
+    ),
+    (["enumerate", "--size", "6"], {"command": "enumerate", "format": "json", "size": 6}),
+    (["encode", "--perm", "2,4,1,3"], {"command": "encode", "format": "json", "perm": "2 4 1 3"}),
+    (
+        ["decode", "--x", "DUDD", "--y", "LLRL", "--z0", "3"],
+        {"command": "decode", "format": "json", "x": "DUDD", "y": "LLRL", "z0": 3},
+    ),
+    (
+        ["permuton-distance", "--size", "2048", "--grid", "8", "--samples", "2", "--seed", "5",
+         "--format", "json"],
+        {"command": "permuton-distance", "format": "json", "grid": 8, "samples": 2, "seed": 5,
+         "size": 2048},
+    ),
+    (
+        ["pattern-limit", "--pattern", "1 3 2", "--z", "0.4", "--trials", "200", "--seed", "6"],
+        {"command": "pattern-limit", "format": "json", "pattern": "132", "seed": 6, "trials": 200,
+         "z": 0.4},
+    ),
+    (
+        ["fluctuations", "--size", "50000", "--anchor-fraction", "0.65", "--replicates", "2",
+         "--times", "0.5,1", "--seed", "7"],
+        {"anchor": 32500, "anchor_fraction": 0.65, "command": "fluctuations", "format": "json",
+         "replicates": 2, "seed": 7, "size": 50000, "times": [0.5, 1.0]},
+    ),
+    (
+        ["local-stats", "--size", "2048", "--roots", "50", "--count", "2", "--seed", "8"],
+        {"command": "local-stats", "count": 2, "format": "json", "radius": 1, "roots": "50",
+         "seed": 8, "size": 2048},
+    ),
+    (
+        ["pattern-stats", "--size", "2048", "--count", "2", "--pattern", "21", "--seed", "9"],
+        {"command": "pattern-stats", "consecutive": False, "count": 2, "format": "json",
+         "pattern": "21", "seed": 9, "size": 2048},
+    ),
+    (
+        ["pattern-stats", "--size", "2048", "--count", "2", "--pattern", "132", "--samples", "30",
+         "--seed", "10"],
+        {"command": "pattern-stats", "consecutive": False, "count": 2, "format": "json",
+         "pattern": "132", "samples": 30, "seed": 10, "size": 2048},
+    ),
+    (
+        ["pattern-stats", "--size", "2048", "--count", "2", "--pattern", "123", "--consecutive"],
+        {"command": "pattern-stats", "consecutive": True, "count": 2, "format": "json",
+         "pattern": "123", "seed": 0, "size": 2048},
+    ),
+    (["verify", "--format", "json", "--seed", "11"], {"command": "verify", "format": "json", "seed": 11}),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "argv, config", REPORT_CONFIGS, ids=[f"{k}-{a[0]}" for k, (a, _) in enumerate(REPORT_CONFIGS)]
+)
+def test_report_config_blocks_are_pinned(capsys, monkeypatch, argv, config):
+    monkeypatch.delenv("SQUAREPERM_SEED", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"] == config
+
+
+@pytest.mark.parametrize("command", [["enumerate", "--size", "5"], ["encode", "--perm", "2413"]])
+def test_seed_is_refused_where_nothing_is_drawn(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_verify_battery_passes(capsys):
     code, out, _ = run(capsys, "verify", "--format", "plain")
     assert code == 0

@@ -14,6 +14,7 @@ from squareperm import (
     rotate_families,
     sample_conditioned,
 )
+from squareperm import fluctuations
 from squareperm.fluctuations import (
     AnchorAssumptionError,
     conditioning_interval,
@@ -115,6 +116,25 @@ def test_endpoint_stats_match_the_replicate_helper():
     assert rebuilt.variances.keys() == stats.variances.keys()
     for key in stats.variances:
         assert np.array_equal(rebuilt.variances[key], stats.variances[key])
+
+
+def test_endpoint_stats_draws_one_master_seed_from_a_generator():
+    # a generator is read once, for the master seed of the replicate streams
+    times = (0.5, 1.0)
+    stats = endpoint_stats(N, T_N, times=times, replicates=2, rng=np.random.default_rng(8))
+    seed = int(np.random.default_rng(8).integers(2**63))
+    assert np.array_equal(stats.values, endpoint_stats(N, T_N, times, 2, seed).values)
+
+
+def test_endpoint_stats_checks_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a replicate")
+
+    monkeypatch.setattr(fluctuations, "replicate_path_values", no_draws)
+    with pytest.raises(ValueError, match="need at least two replicates"):
+        endpoint_stats(N, T_N, replicates=1, rng=1)
+    with pytest.raises(ValueError, match="outside the valid interval"):
+        endpoint_stats(N, int(0.7 * N), replicates=2, rng=np.random.default_rng(1))
 
 
 def test_moment_arithmetic_on_synthetic_values():

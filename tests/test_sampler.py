@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from squareperm import (
     sample_square_approx,
     sample_square_exact,
 )
-from squareperm.sampler import SamplingBudgetExceeded, replicate_rng
+from squareperm.encoding import ALL_PETROV_CONDITIONS
+from squareperm.sampler import SamplerStats, SamplingBudgetExceeded, replicate_rng
 
 N = 2048  # smallest power of two with a nonempty anchor margin
 
@@ -117,3 +120,56 @@ def test_anchor_spreads_over_the_margin_window():
     mid = (lo + hi) / 2
     below = sum(z < mid for z in zs)
     assert 15 <= below <= 45
+
+
+def label_digest(pair):
+    return hashlib.sha256((pair.x + pair.y).encode()).hexdigest()
+
+
+# (seed, z0, sha256 of x + y), pinned from the draws of the three separate
+# rejection loops the samplers had before they shared one
+GOOD_DRAWS = [
+    (0, 103, "54168676a4896b4ecb5758e26d9b5b90972c6606c30cb0f4df5fec7d9a4d8176"),
+    (1, 7, "280e4d3f513da6dabb5068c19fe989fb5d3a0d5dae796d3bca9942f3a6621ffe"),
+]
+# ... plus every SamplerStats field: attempts, rejects_anchor_label,
+# rejects_margin, rejects_petrov
+REGULAR_DRAWS = [
+    (0, 1047, "deb2f0a68cf4da0966b999d6a2653ef83704172b8d9a85f73bb2c3908a1e5f4d", (3, 0, 2, 0)),
+    (2, 977, "c1ac0fd579d522f380f9dfd9a22e5585e55ebe1f9a55a3be9610fa9efc2d1f4e", (57, 2, 54, 0)),
+]
+CONDITIONED_DRAWS = [
+    (0, 1300, "04d400a3b207d7ecc14d348bdadce691ecf7740d2c131627a791210b9575b03d", (4, 3, 0, 0)),
+    (2, 1300, "3474fd209c251a55bbbfef6ff2c13d7bf50773e6f81f0f188109dbdecf876842", (2, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("seed, z0, digest", GOOD_DRAWS)
+def test_sample_good_stream_is_pinned(seed, z0, digest):
+    pair = sample_good(200, rng=seed)
+    assert (pair.z0, label_digest(pair)) == (z0, digest)
+
+
+@pytest.mark.parametrize("seed, z0, digest, stats", REGULAR_DRAWS)
+def test_sample_regular_stream_is_pinned(seed, z0, digest, stats):
+    pair, got = sample_regular(N, rng=seed)
+    assert (pair.z0, label_digest(pair)) == (z0, digest)
+    assert got == SamplerStats(*stats)
+
+
+@pytest.mark.parametrize("seed, z0, digest, stats", CONDITIONED_DRAWS)
+def test_sample_conditioned_stream_is_pinned(seed, z0, digest, stats):
+    pair, got = sample_conditioned(N, 1300, rng=seed)
+    assert (pair.z0, label_digest(pair)) == (z0, digest)
+    assert got == SamplerStats(*stats)
+
+
+def test_exhausted_budget_counts_every_kind_of_reject():
+    # all six Petrov conditions reject almost every pair at n = 2048
+    with pytest.raises(SamplingBudgetExceeded) as info:
+        sample_regular(N, rng=3, conditions=ALL_PETROV_CONDITIONS, max_attempts=40)
+    assert str(info.value) == (
+        "no regular pair of size 2048 within 40 attempts "
+        "(the margin interval is empty below n=1024)"
+    )
+    assert info.value.stats == SamplerStats(40, 1, 36, 3)
