@@ -2,7 +2,7 @@
 
 A square permutation is one whose every point is a record.  This package
 implements the bijective encoding of square permutations by anchored label
-sequences, near-uniform rejection sampling built on that encoding, the
+sequences, exactly uniform rejection sampling built on that encoding, the
 permuton limit with its grid-distance diagnostics, Brownian fluctuation
 statistics of the side paths, and Benjamini-Schramm local limits around a
 uniform root.
@@ -76,7 +76,6 @@ from .sampler import (
     sample_good,
     sample_regular,
     sample_square_approx,
-    sample_square_exact,
 )
 
 __all__ = [
@@ -134,7 +133,6 @@ __all__ = [
     "sample_point_mu_z",
     "sample_regular",
     "sample_square_approx",
-    "sample_square_exact",
     "separating_line_exists",
 ]
 

@@ -9,9 +9,9 @@ The pair is *good* when ``X[1] = X[n] = X[z0] = D`` and ``Y[1] = Y[n] = L``,
 which projection always produces.
 
 The inverse direction matches label occurrences back into points along the
-four sides of the square.  It succeeds on the *regular* triples (anchor
-bounded away from the ends, all four labels satisfying the Petrov
-conditions), and fails loudly otherwise:
+four sides of the square.  It inverts the projection on every square
+permutation; a good pair that is no square's projection either fails
+loudly or yields a permutation that does not project back to it:
 
 >>> pair = project((2, 4, 1, 3))
 >>> pair
@@ -468,19 +468,21 @@ def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
 
     Columns whose point is a minimum record get ``X = D``, maxima get
     ``U``; rows whose point is a left record get ``Y = L``, right records
-    get ``R``; points that are simultaneously minima and maxima (the two
-    diagonals) count as ``D`` and ``L``.  Endpoints are forced to ``D`` and
-    ``L``, and the anchor is the column of value 1.
+    get ``R``.  A point that is both a minimum and a maximum record counts
+    as ``D``; its row reads ``R`` when it is a right-to-left minimum and
+    not a left-to-right minimum, and ``L`` otherwise, which sends it to
+    the family that :func:`reconstruct` rebuilds it on.  Endpoints are
+    forced to ``D`` and ``L``, and the anchor is the column of value 1.
 
     >>> project((1, 2, 3, 4))
-    AnchoredPair(x='DDDD', y='LLLL', z0=1)
+    AnchoredPair(x='DDDD', y='LRRL', z0=1)
     >>> project((4, 3, 2, 1))
     AnchoredPair(x='DDDD', y='LLLL', z0=4)
     """
     arr, (lrmax, lrmin, _, rlmin) = _square_records(p)
     n = arr.size
-    is_min = lrmin | rlmin  # ties (diagonal points) resolve to D
-    is_left = lrmin | lrmax  # and to L
+    is_min = lrmin | rlmin  # ties resolve to D
+    is_left = lrmin | (lrmax & ~rlmin)  # an LRmax that is an RLmin is on family 3
     is_min[0] = is_min[-1] = True
     x = _labels_to_string(is_min, "D", "U")
     by_value = np.empty(n, dtype=bool)
@@ -592,10 +594,12 @@ def build_lambdas(pair: AnchoredPair) -> LambdaFamilies:
 def reconstruct(pair: AnchoredPair) -> np.ndarray:
     """Rebuild the permutation whose projection is the given pair.
 
-    Total on good pairs: construction is attempted unconditionally and
-    validated, so irregular pairs fail with :class:`MatchingFailure`
-    rather than returning garbage.  On the regular set this inverts
-    :func:`project` exactly.
+    Construction is attempted unconditionally on good pairs and
+    validated, so a matching that is not a bijection fails with
+    :class:`MatchingFailure` rather than returning garbage.  This inverts
+    :func:`project` on every square permutation; the reconstruction of a
+    good pair that is no square's projection, when it succeeds, does not
+    project back to it.
 
     >>> reconstruct(AnchoredPair("DUDD", "LLRL", 3)).tolist()
     [2, 4, 1, 3]

@@ -35,7 +35,6 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .core import _as_value_array, _square_records, as_permutation, pattern_at
 from .encoding import project
-from .sampler import ensure_rng
 
 __all__ = [
     "FamilyTag",
@@ -428,7 +427,7 @@ def sample_limit_window(
     Labels on the window are iid fair coins; minus-labeled positions form
     the D-set of the builder.
     """
-    gen = ensure_rng(rng)
+    gen = np.random.default_rng(rng)
     labels = gen.integers(0, 2, size=2 * h + 1)
     d_set = {int(k) + 1 for k in np.flatnonzero(labels == 0)}
     return build_psi(j, d_set, h)
@@ -466,7 +465,7 @@ def empirical_window_distribution(
         count = int(roots)
         if count < 1:
             raise ValueError("need at least one root")
-        gen = ensure_rng(rng)
+        gen = np.random.default_rng(rng)
         chosen = windows[gen.integers(0, windows.shape[0], size=count)]
     total = chosen.shape[0]
     # ranks lie in 1..w; the narrowest dtype lets lexsort use radix sort

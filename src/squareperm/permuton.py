@@ -31,7 +31,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import _as_value_array, as_permutation
-from .sampler import ensure_rng
 
 __all__ = [
     "GridCdf",
@@ -259,7 +258,7 @@ def sample_point_mu_z(
     a uniform point along it."""
     if not 0.0 <= z <= 1.0:
         raise ValueError("z must lie in [0, 1]")
-    x, y = _sample_points(z, 1, ensure_rng(rng))
+    x, y = _sample_points(z, 1, np.random.default_rng(rng))
     return float(x[0]), float(y[0])
 
 
@@ -276,7 +275,7 @@ def sample_pattern_mu_z(
         raise ValueError("z must lie in [0, 1]")
     if k < 1:
         raise ValueError("pattern size must be positive")
-    gen = ensure_rng(rng)
+    gen = np.random.default_rng(rng)
     xs, ys = _sample_points(z, k, gen)
 
     def tied(vals: np.ndarray) -> np.ndarray:
@@ -306,7 +305,7 @@ def lambda_estimate(
     pi = as_permutation(pi)
     if trials < 1:
         raise ValueError("need at least one trial")
-    gen = ensure_rng(rng)
+    gen = np.random.default_rng(rng)
     hits = sum(sample_pattern_mu_z(z, len(pi), gen) == pi for _ in range(trials))
     est = hits / trials
     return est, math.sqrt(est * (1.0 - est) / trials)

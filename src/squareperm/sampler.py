@@ -1,22 +1,20 @@
 """Samplers for anchored pairs and square permutations.
 
-The pipeline is rejection all the way down: a *good* anchored pair is a
+The pipeline is rejection all the way down.  A *good* anchored pair is a
 product-uniform draw of labels conditioned on the anchor column reading
 ``D``; a *regular* pair additionally keeps its anchor away from the ends
-and its labels inside the Petrov envelope; a square permutation is the
-reconstruction of a regular pair.  The last step is exactly uniform over
-the squares reconstructed from regular pairs, and those all have their
-anchor ``z0`` (the column of value 1) in the window
-``[n^0.9, n - n^0.9]``.  The share it leaves out, about 2 n^-0.1, falls
-only slowly: about 63% of the square permutations at n = 10^5 and 40% at
-n = 10^7, so at practical sizes the draw is not uniform on all squares
-(ROADMAP item 1).  For sizes up to 10 an exact-uniform oracle
-draws from the exhaustive enumeration.
+and its labels inside the Petrov envelope.  A square permutation is a
+uniform good pair that reconstructs to a permutation projecting back to
+it: :func:`~squareperm.encoding.project` is injective and
+:func:`~squareperm.encoding.reconstruct` inverts it on every square, so
+the accepted pairs are exactly the projections of ``Sq(n)``, each once,
+and the draw is exactly uniform on ``Sq(n)`` at every size.
 
-``sample_good``, ``sample_regular`` and ``sample_conditioned`` run one
-rejection loop and differ only in what they hand it: the anchor law
-(uniform; uniform, with anchors outside the margin rejected; fixed) and
-whether both label strings must pass the Petrov screen.
+``sample_good``, ``sample_regular``, ``sample_conditioned`` and
+``sample_square_approx`` run one rejection loop and differ only in what
+they hand it: the anchor law (uniform; uniform, with anchors outside the
+margin rejected; fixed) and the acceptance predicate (none, the Petrov
+screen on both label strings, or the round trip).
 
 Generators follow a two-level scheme: ``replicate_rng(master, k)`` derives
 the stream for replicate ``k``, so parallel and serial runs agree
@@ -27,15 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .core import MAX_ENUMERATION_SIZE, enumerate_square
 from .encoding import (
     DEFAULT_PETROV_CONDITIONS,
     AnchoredPair,
+    MatchingFailure,
     margin_ok,
     passes_petrov,
     project,
@@ -50,7 +47,6 @@ __all__ = [
     "sample_good",
     "sample_regular",
     "sample_square_approx",
-    "sample_square_exact",
 ]
 
 DEFAULT_MAX_ATTEMPTS = 1_000_000
@@ -64,11 +60,15 @@ class SamplerStats:
     rejects_anchor_label: int = 0  # anchor column drew U
     rejects_margin: int = 0  # anchor too close to an end
     rejects_petrov: int = 0
+    rejects_roundtrip: int = 0  # the pair is no square's projection
 
     @property
     def accepts(self) -> int:
         return self.attempts - (
-            self.rejects_anchor_label + self.rejects_margin + self.rejects_petrov
+            self.rejects_anchor_label
+            + self.rejects_margin
+            + self.rejects_petrov
+            + self.rejects_roundtrip
         )
 
 
@@ -78,13 +78,6 @@ class SamplingBudgetExceeded(RuntimeError):
     def __init__(self, message: str, stats: SamplerStats):
         super().__init__(message)
         self.stats = stats
-
-
-def ensure_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
-    """Pass generators through; treat anything else as a seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
@@ -122,21 +115,24 @@ def _rejection_loop(
     rng: np.random.Generator | int | None,
     n: int,
     draw_anchor: Callable[[np.random.Generator], int | None],
-    conditions: tuple[int, ...] | None,
+    accept: Callable[[AnchoredPair], Any],
+    rejects: str,
     max_attempts: float,
     exhausted: str,
-) -> tuple[AnchoredPair, SamplerStats]:
+) -> tuple[Any, SamplerStats]:
     """The one rejection loop behind every sampler, with its accounting.
 
     Each attempt redraws everything, cheap checks first: ``draw_anchor``
     gives the anchor, or None for one outside the margin; the anchor
     column must then read ``D`` (one coin flip); only a surviving attempt
-    draws its label strings and, unless ``conditions`` is None, screens
-    both with Petrov.  The rejection order does not change the
-    conditioned law.  Raises :class:`SamplingBudgetExceeded` with the
-    message ``exhausted`` after ``max_attempts`` attempts.
+    draws its label strings and hands the pair to ``accept``, which
+    returns the sample or None to reject it, counted in the
+    :class:`SamplerStats` field named ``rejects``.  The rejection order
+    does not change the conditioned law.  Raises
+    :class:`SamplingBudgetExceeded` with the message ``exhausted`` after
+    ``max_attempts`` attempts.
     """
-    gen = ensure_rng(rng)
+    gen = np.random.default_rng(rng)
     stats = SamplerStats()
     while stats.attempts < max_attempts:
         stats.attempts += 1
@@ -147,11 +143,29 @@ def _rejection_loop(
         if not _anchor_label_is_d(gen, n, z0):
             stats.rejects_anchor_label += 1
             continue
-        pair = _draw_pair(gen, n, z0)
-        if conditions is None or passes_petrov(pair, conditions):
-            return pair, stats
-        stats.rejects_petrov += 1
+        sample = accept(_draw_pair(gen, n, z0))
+        if sample is not None:
+            return sample, stats
+        setattr(stats, rejects, getattr(stats, rejects) + 1)
     raise SamplingBudgetExceeded(exhausted, stats)
+
+
+def _petrov_screen(conditions: Iterable[int]) -> Callable[[AnchoredPair], AnchoredPair | None]:
+    conditions = tuple(conditions)
+    return lambda pair: pair if passes_petrov(pair, conditions) else None
+
+
+def _square_of(pair: AnchoredPair) -> np.ndarray | None:
+    """The square permutation projecting to ``pair``, or None if there is none.
+
+    ``project`` is injective and ``reconstruct`` inverts it, so the
+    reconstruction is the preimage exactly when it projects back.
+    """
+    try:
+        p = reconstruct(pair)
+    except MatchingFailure:
+        return None
+    return p if project(p) == pair else None
 
 
 def sample_good(n: int, rng: np.random.Generator | int | None = None) -> AnchoredPair:
@@ -163,8 +177,10 @@ def sample_good(n: int, rng: np.random.Generator | int | None = None) -> Anchore
     """
     if n < 3:
         raise ValueError("good pairs need n >= 3")
-    # no screen and no budget: the loop ends with probability one
-    pair, _ = _rejection_loop(rng, n, lambda gen: int(gen.integers(1, n + 1)), None, math.inf, "")
+    # accept every pair and set no budget: the loop ends with probability one
+    pair, _ = _rejection_loop(
+        rng, n, lambda gen: int(gen.integers(1, n + 1)), lambda pair: pair, "", math.inf, ""
+    )
     return pair
 
 
@@ -177,17 +193,22 @@ def sample_regular(
     """Uniform draw from the regular good pairs, with rejection accounting.
 
     The anchor is uniform over columns; one outside the margin is a
-    margin reject, before any other draw.
+    margin reject, before any other draw.  Raises ValueError before the
+    first draw when the margin holds no column, as at every size up to
+    1025 and at a few just above.
     """
     if n < 3:
         raise ValueError("regular pairs need n >= 3")
+    # the smallest column at or above n^0.9 is the first the margin can hold
+    if not margin_ok(n, math.ceil(float(n) ** 0.9)):
+        raise ValueError(f"no regular pair of size {n}: the anchor margin [n^0.9, n - n^0.9] is empty")
 
     def uniform_in_margin(gen: np.random.Generator) -> int | None:
         z0 = int(gen.integers(1, n + 1))
         return z0 if margin_ok(n, z0) else None
 
     return _rejection_loop(
-        rng, n, uniform_in_margin, tuple(conditions), max_attempts,
+        rng, n, uniform_in_margin, _petrov_screen(conditions), "rejects_petrov", max_attempts,
         f"no regular pair of size {n} within {max_attempts} attempts "
         "(the margin interval is empty below n=1024)",
     )
@@ -211,42 +232,36 @@ def sample_conditioned(
     if not 1 <= z0 <= n:
         raise ValueError("anchor out of range")
     return _rejection_loop(
-        rng, n, lambda gen: z0, tuple(conditions), max_attempts,
+        rng, n, lambda gen: z0, _petrov_screen(conditions), "rejects_petrov", max_attempts,
         f"no Petrov-passing pair of size {n} anchored at {z0} "
         f"within {max_attempts} attempts",
+    )
+
+
+def _sample_square(
+    n: int, rng: np.random.Generator | int | None = None
+) -> tuple[np.ndarray, SamplerStats]:
+    """:func:`sample_square_approx` with its rejection accounting."""
+    if n < 1:
+        raise ValueError("square permutations need n >= 1")
+    if n <= 2:  # every permutation of size 1 or 2 is square
+        return np.random.default_rng(rng).permutation(n) + 1, SamplerStats(attempts=1)
+    return _rejection_loop(
+        rng, n, lambda gen: int(gen.integers(1, n + 1)), _square_of, "rejects_roundtrip",
+        DEFAULT_MAX_ATTEMPTS,
+        f"no square permutation of size {n} within {DEFAULT_MAX_ATTEMPTS} attempts",
     )
 
 
 def sample_square_approx(
     n: int, rng: np.random.Generator | int | None = None
 ) -> np.ndarray:
-    """Square permutation of size ``n`` from a uniform regular pair.
+    """Exactly uniform draw from the square permutations of size ``n >= 1``.
 
-    Reconstructs a uniform regular pair; the result is validated to be
-    square before it is returned.  Exactly uniform on the squares it can
-    reach, whose anchors all lie in ``[n^0.9, n - n^0.9]``: about 37% of
-    the square permutations at n = 10^5 and 60% at n = 10^7, so not
-    uniform on all of them at the sizes in use (ROADMAP item 1).
+    Draws a uniform good pair and accepts its reconstruction when that
+    projects back onto the pair; the accepted pairs are the projections
+    of ``Sq(n)``, each once.  A good pair is accepted with probability
+    ``count_square_formula(n) / count_good_pairs(n)``: 0.6 at n = 3,
+    about 0.93 at n = 10^3 and tending to 1.
     """
-    pair, _ = sample_regular(n, rng)
-    p = reconstruct(pair)
-    # cheap guard: projecting again must reproduce the pair we built from
-    if project(p) != pair:
-        raise RuntimeError("reconstructed permutation does not project back")
-    return p
-
-
-@lru_cache(maxsize=4)
-def _square_table(n: int) -> np.ndarray:
-    return np.array(enumerate_square(n), dtype=np.int64)
-
-
-def sample_square_exact(
-    n: int, rng: np.random.Generator | int | None = None
-) -> np.ndarray:
-    """Exactly uniform square permutation, for ``n`` up to 10 (oracle)."""
-    if not 1 <= n <= MAX_ENUMERATION_SIZE:
-        raise ValueError(f"exact sampling supported for 1 <= n <= {MAX_ENUMERATION_SIZE}")
-    gen = ensure_rng(rng)
-    table = _square_table(n)
-    return table[int(gen.integers(0, len(table)))].copy()
+    return _sample_square(n, rng)[0]

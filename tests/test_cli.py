@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,7 +20,7 @@ from squareperm import cli
 from squareperm import occ_proportion
 from squareperm.cli import main
 
-SIZE = 2048  # smallest size the rejection sampler accepts
+SIZE = 2048
 
 
 def run(capsys, *argv):
@@ -96,7 +97,7 @@ def test_report_writer_matches_the_standard_encoder(body):
 
 def test_sample_plain_lines_are_permutations(capsys):
     code, out, _ = run(
-        capsys, "sample", "--size", "6", "--mode", "exact", "--count", "3",
+        capsys, "sample", "--size", "6", "--count", "3",
         "--seed", "3", "--format", "plain",
     )
     assert code == 0
@@ -104,6 +105,46 @@ def test_sample_plain_lines_are_permutations(capsys):
     assert len(lines) == 3
     for line in lines:
         assert sorted(int(v) for v in line.split()) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 6, 100, 1023])
+def test_sample_draws_a_square_at_every_size(capsys, size):
+    code, out, err = run(capsys, "sample", "--size", str(size), "--seed", "3")
+    assert (code, err) == (0, "")
+    body = json.loads(out)
+    (perm,) = body["permutations"]
+    assert squareperm.is_square(perm) and len(perm) == size
+    assert body["attempts"] >= 1
+
+
+def test_pattern_stats_counts_a_size_three_pattern_exactly(capsys):
+    # n = 200 is below the largest size (272) whose exact count of a
+    # size-3 pattern fits the work bound
+    code, out, err = run(
+        capsys, "pattern-stats", "--pattern", "123", "--size", "200", "--count", "2",
+        "--seed", "5",
+    )
+    assert (code, err) == (0, "")
+    body = json.loads(out)
+    values = [Fraction(v) for v in body["per_sample"]]
+    assert len(values) == 2 and all(0 <= v <= 1 for v in values)
+    for k, v in enumerate(values):
+        perm = cli.sample_square_approx(200, cli.replicate_rng(5, k))
+        assert occ_proportion((1, 2, 3), perm) == v
+
+
+def test_readme_command_line_flags_exist():
+    # every --flag the README's command-line section names is an option
+    # of the parser or of one of its subcommands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    parser = cli.build_parser()
+    registered = set(parser._option_string_actions)
+    for action in parser._subparsers._group_actions:
+        for sub in action.choices.values():
+            registered |= set(sub._option_string_actions)
+    assert named and named <= registered, sorted(named - registered)
 
 
 def test_encode_decode_round_trip(capsys):
@@ -281,12 +322,12 @@ def test_consecutive_pattern_stats(capsys):
 
 
 def test_env_seed_is_honored_and_flag_wins(capsys, monkeypatch):
-    flagged = run(capsys, "sample", "--size", "6", "--mode", "exact",
+    flagged = run(capsys, "sample", "--size", "6",
                   "--seed", "12", "--format", "plain")
     monkeypatch.setenv("SQUAREPERM_SEED", "12")
-    from_env = run(capsys, "sample", "--size", "6", "--mode", "exact",
+    from_env = run(capsys, "sample", "--size", "6",
                    "--format", "plain")
-    overridden = run(capsys, "sample", "--size", "6", "--mode", "exact",
+    overridden = run(capsys, "sample", "--size", "6",
                      "--seed", "13", "--format", "plain")
     assert from_env == flagged
     assert overridden != flagged
@@ -335,15 +376,15 @@ def test_threading_does_not_change_an_anchor_refusal(capsys, monkeypatch, fracti
 REPORT_CONFIGS = [
     (
         ["sample", "--size", "2048", "--seed", "3"],
-        {"command": "sample", "count": 1, "format": "json", "mode": "approx", "seed": 3, "size": 2048},
+        {"command": "sample", "count": 1, "format": "json", "seed": 3, "size": 2048},
     ),
     (
-        ["sample", "--size", "2048", "--count", "2", "--mode", "regular", "--seed", "4", "--threads", "1"],
-        {"command": "sample", "count": 2, "format": "json", "mode": "regular", "seed": 4, "size": 2048},
+        ["sample", "--size", "2048", "--count", "2", "--seed", "4", "--threads", "1"],
+        {"command": "sample", "count": 2, "format": "json", "seed": 4, "size": 2048},
     ),
     (
-        ["sample", "--size", "6", "--mode", "exact"],
-        {"command": "sample", "count": 1, "format": "json", "mode": "exact", "seed": 0, "size": 6},
+        ["sample", "--size", "6"],
+        {"command": "sample", "count": 1, "format": "json", "seed": 0, "size": 6},
     ),
     (["enumerate", "--size", "6"], {"command": "enumerate", "format": "json", "size": 6}),
     (["encode", "--perm", "2,4,1,3"], {"command": "encode", "format": "json", "perm": "2 4 1 3"}),

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from squareperm import (
+    count_good_pairs,
     count_square_formula,
+    enumerate_square,
     is_regular,
     is_square,
     margin_ok,
@@ -18,10 +21,15 @@ from squareperm import (
     sample_good,
     sample_regular,
     sample_square_approx,
-    sample_square_exact,
 )
-from squareperm.encoding import ALL_PETROV_CONDITIONS
-from squareperm.sampler import SamplerStats, SamplingBudgetExceeded, replicate_rng
+from squareperm.encoding import ALL_PETROV_CONDITIONS, AnchoredPair
+from squareperm.sampler import (
+    SamplerStats,
+    SamplingBudgetExceeded,
+    _sample_square,
+    _square_of,
+    replicate_rng,
+)
 
 N = 2048  # smallest power of two with a nonempty anchor margin
 
@@ -81,9 +89,36 @@ def test_good_pairs_need_no_screen():
     assert pair.good and pair.n == 64
 
 
+def good_pairs(n):
+    """Every good anchored pair of size n: D at columns 1, n and z0, L at rows 1, n."""
+    for z0 in range(1, n + 1):
+        free = [i for i in range(1, n - 1) if i != z0 - 1]
+        for bits in itertools.product("DU", repeat=len(free)):
+            x = ["D"] * n
+            for i, b in zip(free, bits):
+                x[i] = b
+            for y in itertools.product("LR", repeat=n - 2):
+                yield AnchoredPair("".join(x), "L" + "".join(y) + "L", z0)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_round_trip_predicate_accepts_each_square_once(n):
+    # the sampler draws good pairs uniformly, so its law is uniform on
+    # Sq(n) exactly when its predicate accepts one pair per square
+    accepted = []
+    total = 0
+    for pair in good_pairs(n):
+        total += 1
+        p = _square_of(pair)
+        if p is not None:
+            accepted.append(tuple(p.tolist()))
+    assert total == count_good_pairs(n)
+    assert sorted(accepted) == enumerate_square(n)
+
+
 def test_exact_sampler_draws_members():
     for k in range(20):
-        p = sample_square_exact(5, rng=replicate_rng(17, k))
+        p = sample_square_approx(5, rng=replicate_rng(17, k))
         assert is_square(p.tolist())
 
 
@@ -94,21 +129,42 @@ def test_exact_sampler_is_close_to_uniform():
     rng = np.random.default_rng(31)
     counts: dict[tuple[int, ...], int] = {}
     for _ in range(DRAWS):
-        p = tuple(sample_square_exact(4, rng=rng).tolist())
+        p = tuple(sample_square_approx(4, rng=rng).tolist())
         counts[p] = counts.get(p, 0) + 1
     assert len(counts) == count_square_formula(4)
     assert all(130 <= c <= 270 for c in counts.values())
 
 
-def test_exact_sampler_rejects_large_sizes():
+def test_tiny_sizes_draw_any_permutation():
+    # every permutation of size 1 or 2 is square; size 0 has none to draw
+    assert sample_square_approx(1, rng=4).tolist() == [1]
+    draws = {tuple(sample_square_approx(2, rng=replicate_rng(4, k)).tolist()) for k in range(20)}
+    assert draws == {(1, 2), (2, 1)}
     with pytest.raises(ValueError):
-        sample_square_exact(11)
+        sample_square_approx(0)
 
 
-def test_budget_exhaustion_raises():
-    # n = 1000 has an empty margin window, so every attempt rejects
-    with pytest.raises(SamplingBudgetExceeded):
-        sample_regular(1000, rng=1, max_attempts=50)
+def test_square_draws_count_round_trip_rejects():
+    for k in range(10):
+        p, stats = _sample_square(6, rng=replicate_rng(19, k))
+        assert is_square(p.tolist())
+        assert stats.rejects_margin == stats.rejects_petrov == 0
+        assert stats.accepts == 1
+    # acceptance |Sq(3)| / |good pairs| = 6/10: some seed must reject a pair
+    rejects = [_sample_square(3, rng=replicate_rng(19, k))[1].rejects_roundtrip for k in range(20)]
+    assert any(rejects)
+
+
+def test_empty_margin_is_refused_before_drawing():
+    # the margin [n^0.9, n - n^0.9] holds no column at n = 1000
+    assert not any(margin_ok(1000, z) for z in range(1, 1001))
+
+    class NoDraws:
+        def __getattr__(self, name):
+            pytest.fail("sample_regular drew before refusing an empty margin")
+
+    with pytest.raises(ValueError, match="margin"):
+        sample_regular(1000, rng=NoDraws(), max_attempts=50)
 
 
 def test_anchor_spreads_over_the_margin_window():
