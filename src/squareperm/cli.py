@@ -146,29 +146,68 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         Path(out).write_text(text)
 
 
+def _join_ints(arr: np.ndarray, sep: str) -> str:
+    """``sep.join(map(str, arr.tolist()))`` for a 1-d integer array, in numpy passes.
+
+    Each value gets one column of a ``(sign + width + len(sep), n)`` byte
+    buffer: an optional sign row, the decimal digits of its magnitude from
+    divisions by 10, then the separator, which must be ASCII without NUL.
+    Absent signs, leading zeros and the separator after the last value
+    are NUL.  One transpose lays the columns end to end, and dropping the
+    NULs leaves the text.  Magnitudes are uint32 when every value is in
+    ``[0, 2^32)`` and uint64 otherwise, which holds the magnitude of the
+    minimum of int64 exactly.
+    """
+    if arr.size == 0:
+        return ""
+    lo, hi = int(arr.min()), int(arr.max())
+    top = max(hi, -lo)
+    width = len(str(top))
+    lead = int(lo < 0)
+    mag = arr.astype(np.uint64 if lead or top >= 2**32 else np.uint32)
+    sep_row = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+    buf = np.empty((lead + width + sep_row.size, arr.size), dtype=np.uint8)
+    if lead:
+        neg = arr < 0
+        # a negative value cast to uint64 is 2^64 - |v|; negation undoes it
+        np.negative(mag, out=mag, where=neg)
+        np.multiply(neg, ord("-"), out=buf[0], dtype=np.uint8)
+    rest = mag
+    for k in range(width):
+        row = buf[lead + width - 1 - k]
+        quot = rest // 10
+        np.subtract(rest, quot * 10, out=row, casting="unsafe")
+        row += ord("0")
+        if k:  # a leading zero, once nothing is left, becomes NUL
+            row *= rest != 0
+        rest = quot
+    buf[lead + width :] = sep_row[:, None]
+    buf[lead + width :, -1] = 0
+    return buf.T.tobytes().replace(b"\x00", b"").decode("ascii")
+
+
 def _dumps(obj: Any, level: int = 0) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` of a normalized tree.
 
     The standard encoder falls back to its pure-Python path whenever it
     indents, one generator step per value; here a 1-d integer array is
-    joined in one pass, and every scalar and key still goes through
-    ``json.dumps``.
+    written by :func:`_join_ints`, and every scalar and key still goes
+    through ``json.dumps``.
     """
-    if isinstance(obj, dict):
-        parts = [f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj)]
-        brackets = "{}"
-    elif isinstance(obj, np.ndarray):
-        parts = list(map(str, obj.tolist()))
-        brackets = "[]"
-    elif isinstance(obj, list):
-        parts = [_dumps(v, level + 1) for v in obj]
-        brackets = "[]"
-    else:
+    if not isinstance(obj, (dict, list, np.ndarray)):
         return json.dumps(obj)
-    if not parts:
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not len(obj):
         return brackets
     pad = "\n" + "  " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(parts) + "\n" + "  " * level + brackets[1]
+    sep = "," + pad
+    if isinstance(obj, np.ndarray):
+        body = _join_ints(obj, sep)
+    elif isinstance(obj, dict):
+        body = sep.join(f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
+    else:
+        body = sep.join(_dumps(v, level + 1) for v in obj)
+    return f"{brackets[0]}{pad}{body}\n{'  ' * level}{brackets[1]}"
 
 
 def _config(args: argparse.Namespace, **resolved: Any) -> dict[str, Any]:
@@ -204,7 +243,7 @@ def _perm_key(pi: Sequence[int]) -> str:
 
 
 def _perm_line(p: Sequence[int] | np.ndarray) -> str:
-    return " ".join(map(str, np.asarray(p).tolist()))
+    return _join_ints(np.asarray(p), " ")
 
 
 def _parse_times(text: str) -> tuple[float, ...]:

@@ -182,10 +182,17 @@ def _square_records(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """``p`` as an int64 array with its record masks; raises unless square."""
     arr = _as_value_array(p)
+    return arr, _records_of_square(arr)
+
+
+def _records_of_square(
+    arr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Record masks of an int64 permutation array; raises unless square."""
     masks = _record_masks(arr)
     if not np.logical_or.reduce(masks).all():
         raise ValueError("permutation is not square")
-    return arr, masks
+    return masks
 
 
 def _inversion_count(arr: np.ndarray) -> int:

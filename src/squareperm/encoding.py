@@ -157,12 +157,18 @@ class AnchoredPair:
 
 
 class LabelStats:
-    """Prefix counts and occurrence positions for a two-letter sequence.
+    """Occurrence positions, and prefix counts, for a two-letter sequence.
 
     ``ct(l, i)`` counts occurrences of label ``l`` among the first ``i``
     characters; ``pos(l, i)`` is the position of the i-th occurrence.  Both
     honor the extension conventions: ``ct(l, 0) = 0``, ``pos(l, 0) = 0``,
     and ``pos(l, i) = n`` once ``i`` exceeds the occurrence count.
+
+    Only the padded position tables are built up front: label matching
+    reads positions and a few counts, and a count is a binary search in
+    the positions.  The prefix-count tables, which the Petrov screen
+    reads whole, are built for both letters on the first
+    :meth:`ct_table` call and kept.
 
     >>> st = LabelStats("DUDD")
     >>> [st.ct("D", i) for i in range(5)]
@@ -171,7 +177,7 @@ class LabelStats:
     ([1, 3, 4], 2, 4)
     """
 
-    __slots__ = ("sequence", "n", "alphabet", "_ct", "_pos")
+    __slots__ = ("sequence", "n", "alphabet", "_count", "_pos", "_ct")
 
     def __init__(self, sequence: str | Iterable[str]) -> None:
         seq = sequence if isinstance(sequence, str) else "".join(sequence)
@@ -184,39 +190,39 @@ class LabelStats:
         else:
             raise ValueError("labels must be over {U,D} or {L,R}")
         n = len(seq)
-        first = np.frombuffer(seq.encode("ascii"), dtype=np.uint8) == ord(alphabet[0])
-        # one prefix sum: the second letter's count is i minus the first's
-        ct_first = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(first, out=ct_first[1:])
-        ct_second = np.arange(n + 1, dtype=np.int64)
-        ct_second -= ct_first
-        ct: dict[str, np.ndarray] = {}
+        first = self._first(seq, alphabet)
+        count: dict[str, int] = {}
         pos: dict[str, np.ndarray] = {}
-        for label, table, mask in (
-            (alphabet[0], ct_first, first),
-            (alphabet[1], ct_second, ~first),
-        ):
-            m = int(table[-1])
+        for label, mask in ((alphabet[0], first), (alphabet[1], ~first)):
+            where = np.flatnonzero(mask)
+            m = where.size
             padded = np.empty(n + 2, dtype=np.int64)
             padded[0] = 0
-            np.add(np.flatnonzero(mask), 1, out=padded[1 : 1 + m])
+            np.add(where, 1, out=padded[1 : 1 + m])
             padded[1 + m :] = n
-            table.setflags(write=False)
             padded.setflags(write=False)
-            ct[label] = table
+            count[label] = m
             pos[label] = padded
         self.sequence = seq
         self.n = n
         self.alphabet = alphabet
-        self._ct = ct
+        self._count = count
         self._pos = pos
+        self._ct: dict[str, np.ndarray] | None = None
+
+    @staticmethod
+    def _first(seq: str, alphabet: tuple[str, str]) -> np.ndarray:
+        """Mask of the positions holding the alphabet's first letter."""
+        return np.frombuffer(seq.encode("ascii"), dtype=np.uint8) == ord(alphabet[0])
 
     def count(self, label: str) -> int:
         """Total occurrences of ``label``."""
-        return int(self._ct[label][-1])
+        return self._count[label]
 
     def ct(self, label: str, i: int) -> int:
-        return int(self._ct[label][i])
+        # indexed like the 0..n table: negative i counts from the end
+        i = range(self.n + 1)[i]
+        return int(np.searchsorted(self.positions(label), i, side="right"))
 
     def pos(self, label: str, i: int) -> int:
         if i > self.n + 1:
@@ -225,6 +231,16 @@ class LabelStats:
 
     def ct_table(self, label: str) -> np.ndarray:
         """Prefix counts, indexed 0..n (read-only)."""
+        if self._ct is None:
+            first, second = self.alphabet
+            # one prefix sum: the second letter's count is i minus the first's
+            ct_first = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(self._first(self.sequence, self.alphabet), out=ct_first[1:])
+            ct_second = np.arange(self.n + 1, dtype=np.int64)
+            ct_second -= ct_first
+            ct_first.setflags(write=False)
+            ct_second.setflags(write=False)
+            self._ct = {first: ct_first, second: ct_second}
         return self._ct[label]
 
     def pos_table(self, label: str) -> np.ndarray:
@@ -233,7 +249,7 @@ class LabelStats:
 
     def positions(self, label: str) -> np.ndarray:
         """Actual occurrence positions of ``label``, 1-based (read-only)."""
-        return self._pos[label][1 : 1 + self.count(label)]
+        return self._pos[label][1 : 1 + self._count[label]]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LabelStats({self.sequence!r})"
@@ -463,6 +479,24 @@ def passes_petrov(pair: AnchoredPair, conditions: Iterable[int]) -> bool:
     )
 
 
+def _label_masks(
+    arr: np.ndarray, masks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The projection of a square as masks: ``(X == D, Y == L, z0)``.
+
+    ``X == D`` is indexed by column and ``Y == L`` by row (value), both
+    0-based; ``masks`` are the record masks of the permutation ``arr``.
+    """
+    lrmax, lrmin, _, rlmin = masks
+    is_min = lrmin | rlmin  # ties resolve to D
+    is_min[0] = is_min[-1] = True
+    is_left = np.empty(arr.size, dtype=bool)
+    # an LRmax that is an RLmin is on family 3
+    is_left[arr - 1] = lrmin | (lrmax & ~rlmin)
+    is_left[0] = is_left[-1] = True
+    return is_min, is_left, int(np.argmin(arr)) + 1
+
+
 def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
     """Project a square permutation to its anchored pair.
 
@@ -479,17 +513,9 @@ def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
     >>> project((4, 3, 2, 1))
     AnchoredPair(x='DDDD', y='LLLL', z0=4)
     """
-    arr, (lrmax, lrmin, _, rlmin) = _square_records(p)
-    n = arr.size
-    is_min = lrmin | rlmin  # ties resolve to D
-    is_left = lrmin | (lrmax & ~rlmin)  # an LRmax that is an RLmin is on family 3
-    is_min[0] = is_min[-1] = True
+    is_min, is_left, z0 = _label_masks(*_square_records(p))
     x = _labels_to_string(is_min, "D", "U")
-    by_value = np.empty(n, dtype=bool)
-    by_value[arr - 1] = is_left
-    by_value[0] = by_value[-1] = True
-    y = _labels_to_string(by_value, "L", "R")
-    return AnchoredPair(x, y, int(np.argmin(arr)) + 1)
+    return AnchoredPair(x, _labels_to_string(is_left, "L", "R"), z0)
 
 
 def _anchor_counts(pair: AnchoredPair) -> tuple[int, int, int, int]:

@@ -113,11 +113,17 @@ def _assumption_floor(n: int) -> float:
     return n / 2 + 10 * float(n) ** 0.6
 
 
+def _columns(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An unfilled ``(m, 2)`` int64 family and views of its two columns."""
+    pts = np.empty((m, 2), dtype=np.int64)
+    return pts, pts[:, 0], pts[:, 1]
+
+
 def _family(arr: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Points ``(i + 1, arr[i])`` for the 0-based positions ``at``, in order."""
-    pts = np.empty((at.size, 2), dtype=np.int64)
-    np.add(at, 1, out=pts[:, 0])
-    np.take(arr, at, out=pts[:, 1])
+    pts, cols, rows = _columns(at.size)
+    np.add(at, 1, out=cols)
+    np.take(arr, at, out=rows)
     return pts
 
 
@@ -167,15 +173,25 @@ def rotate_families(
     dr, dl, ur = families
     z0, n = pair.z0, pair.n
     x, y = dr.xs(), dr.ys()
-    p_dr = np.column_stack((x + y - z0 - 1, y - x + z0 - 1))
+    p_dr, a, b = _columns(x.size)
+    np.add(x, y, out=a)
+    a -= z0 + 1
+    np.subtract(y, x, out=b)
+    b += z0 - 1
     x, y = dl.xs(), dl.ys()
-    p_dl = np.column_stack(((z0 - x) + y - 1, (z0 - x) - y + 1))
+    p_dl, a, b = _columns(x.size)
+    np.subtract(y, x, out=a)
+    a += z0 - 1
+    np.add(x, y, out=b)
+    np.subtract(z0 + 1, b, out=b)
     x, y = ur.xs(), ur.ys()
     if x.size == 0:
         raise ValueError("empty UR family")
-    p_ur = np.column_stack(
-        (x - y + 2 * n - 3 * z0 + 1, (x + y) - (int(x[0]) + int(y[0])))
-    )
+    p_ur, a, b = _columns(x.size)
+    np.subtract(x, y, out=a)
+    a += 2 * n - 3 * z0 + 1
+    np.add(x, y, out=b)
+    b -= b[0]
     return (
         PointFamily("P_DR", p_dr, HALF_SQRT2),
         PointFamily("P_DL", p_dl, HALF_SQRT2),
@@ -208,25 +224,42 @@ def component_families(pair: AnchoredPair) -> tuple[PointFamily, ...]:
     if n_dl > cdz:
         raise ValueError("pair too irregular: left minima outrun the anchor Ds")
 
-    i = np.arange(n_dr, dtype=np.int64)
-    after = pos_d[cdz + i] - z0  # distance of the i-th D past the anchor
-    x_dr = np.column_stack((i, -after + 2 * i))
+    idx = np.arange(max(n_dr, n_dl, n_ur + 1), dtype=np.int64)
+    two = 2 * idx
+
+    def indexed(first: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Family ``first .. first + m - 1``: its array, its heights, 2i."""
+        pts, i, h = _columns(m)
+        i[:] = idx[first : first + m]
+        return pts, h, two[first : first + m]
+
+    x_dr, h, two_i = indexed(0, n_dr)
+    # minus the distance of the i-th D past the anchor
+    np.subtract(z0, pos_d[cdz : cdz + n_dr], out=h)
+    h += two_i
+    y_dr, h, two_i = indexed(0, n_dr)
+    np.subtract(pos_r[:n_dr], 1, out=h)
+    h -= two_i
     # the corner (z0, 1) is index 0 and is not an R occurrence: its height
     # is the anchor value 1, not a table lookup
-    y_abs = pos_r[i].copy()
-    y_abs[0] = 1
-    y_dr = np.column_stack((i, y_abs - 1 - 2 * i))
+    h[0] = 0
 
-    i = np.arange(n_dl, dtype=np.int64)
-    before = z0 - pos_d[cdz - i]  # distance of the i-th D before the anchor
-    x_dl = np.column_stack((i, before - 2 * i))
-    y_dl = np.column_stack((i, -pos_l[i + 1] + 1 + 2 * i))
+    x_dl, h, two_i = indexed(0, n_dl)
+    # the distance of the i-th D before the anchor
+    np.subtract(z0, pos_d[cdz + 1 - n_dl : cdz + 1][::-1], out=h)
+    h -= two_i
+    y_dl, h, two_i = indexed(0, n_dl)
+    np.subtract(1, pos_l[1 : n_dl + 1], out=h)
+    h += two_i
 
-    i = np.arange(1, n_ur + 1, dtype=np.int64)
-    after_u = pos_u[cuz + i] - z0
-    x_ur = np.column_stack((i, after_u - after_u[0] - 2 * i))
-    rr = pos_r[n - z0 + 1 - i]
-    y_ur = np.column_stack((i, rr - rr[0] + 2 * i))
+    x_ur, h, two_i = indexed(1, n_ur)
+    after_u = pos_u[cuz + 1 : cuz + n_ur + 1]
+    np.subtract(after_u, after_u[0], out=h)
+    h -= two_i
+    y_ur, h, two_i = indexed(1, n_ur)
+    rr = pos_r[n - z0 + 1 - n_ur : n - z0 + 1][::-1]
+    np.subtract(rr, rr[0], out=h)
+    h += two_i
 
     return (
         PointFamily("X_DR", x_dr),

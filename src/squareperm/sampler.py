@@ -29,13 +29,13 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from .core import _records_of_square
 from .encoding import (
     DEFAULT_PETROV_CONDITIONS,
     AnchoredPair,
-    MatchingFailure,
+    _label_masks,
     margin_ok,
     passes_petrov,
-    project,
     reconstruct,
 )
 
@@ -159,13 +159,19 @@ def _square_of(pair: AnchoredPair) -> np.ndarray | None:
     """The square permutation projecting to ``pair``, or None if there is none.
 
     ``project`` is injective and ``reconstruct`` inverts it, so the
-    reconstruction is the preimage exactly when it projects back.
+    reconstruction is the preimage exactly when it is square and its
+    projection, compared as masks with the pair's label bytes, is the
+    pair.  The matching has already proved it a permutation.
     """
     try:
         p = reconstruct(pair)
-    except MatchingFailure:
+        is_min, is_left, z0 = _label_masks(p, _records_of_square(p))
+    except ValueError:  # no bijection (MatchingFailure) or not square: no preimage
         return None
-    return p if project(p) == pair else None
+    x_is_d = np.frombuffer(pair.x.encode("ascii"), np.uint8) == ord("D")
+    y_is_l = np.frombuffer(pair.y.encode("ascii"), np.uint8) == ord("L")
+    same = z0 == pair.z0 and np.array_equal(is_min, x_is_d) and np.array_equal(is_left, y_is_l)
+    return p if same else None
 
 
 def sample_good(n: int, rng: np.random.Generator | int | None = None) -> AnchoredPair:
@@ -209,8 +215,7 @@ def sample_regular(
 
     return _rejection_loop(
         rng, n, uniform_in_margin, _petrov_screen(conditions), "rejects_petrov", max_attempts,
-        f"no regular pair of size {n} within {max_attempts} attempts "
-        "(the margin interval is empty below n=1024)",
+        f"no regular pair of size {n} within {max_attempts} attempts",
     )
 
 

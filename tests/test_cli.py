@@ -19,6 +19,7 @@ import squareperm
 from squareperm import cli
 from squareperm import occ_proportion
 from squareperm.cli import main
+from squareperm.sampler import replicate_rng
 
 SIZE = 2048
 
@@ -83,6 +84,18 @@ REPORT_BODIES = [
     {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "tiny": 1e-300},
     {"text": "ünïcode ✓ \"quoted\"\n", "none": None, "yes": True, "no": False, "t": (1, 2.5)},
     {"é\tkey": 1, "10": 2, "9": 3, "": {"": []}},
+    {
+        "edges": [
+            np.array([np.iinfo(t).min, -1, 0, 9, 10, np.iinfo(t).max], dtype=t)
+            for t in (np.int8, np.int16, np.int32, np.int64)
+        ],
+        "unsigned": [
+            np.array([0, 9, 10, 255], dtype=np.uint8),
+            np.array([2**64 - 1, 0], dtype=np.uint64),
+        ],
+        "single": {"neg": np.array([-7]), "zero": np.array([0], dtype=np.uint8)},
+    },
+    {"permutations": [np.random.default_rng(5).permutation(100_000) + 1]},
 ]
 
 
@@ -105,6 +118,13 @@ def test_sample_plain_lines_are_permutations(capsys):
     assert len(lines) == 3
     for line in lines:
         assert sorted(int(v) for v in line.split()) == [1, 2, 3, 4, 5, 6]
+
+
+def test_sample_plain_line_is_the_drawn_permutation(capsys):
+    code, out, err = run(capsys, "sample", "--size", "5000", "--seed", "9", "--format", "plain")
+    assert (code, err) == (0, "")
+    perm = squareperm.sample_square_approx(5000, replicate_rng(9, 0))
+    assert out == " ".join(map(str, perm.tolist())) + "\n"
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 6, 100, 1023])

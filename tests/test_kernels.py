@@ -8,7 +8,8 @@ grid rectangles, and the block-screened Petrov window check against the
 min/max filter pair alone.  The round-trip kernels (label tables, the
 Petrov check, label matching, record masks, the separating-line test and
 the fluctuation families) are checked against their earlier
-straightforward versions, kept here.
+straightforward versions, kept here, and the report writer's integer
+kernel against ``str.join`` over ``str`` of every value.
 """
 
 from __future__ import annotations
@@ -51,9 +52,17 @@ from squareperm import (
     restrict,
 )
 from squareperm import encoding, sampler
+from squareperm.cli import _join_ints
 from squareperm.core import _as_value_array, _inversion_count, _record_masks, _square_records
 from squareperm.encoding import ALL_PETROV_CONDITIONS, PetrovViolation
-from squareperm.fluctuations import AnchorAssumptionError, PointFamily, _assumption_floor
+from squareperm.fluctuations import (
+    HALF_SQRT2,
+    AnchorAssumptionError,
+    PointFamily,
+    _assumption_floor,
+    component_families,
+    rotate_families,
+)
 from squareperm.local_limits import separating_failure_rate, separating_line_exists
 from squareperm.permuton import _mu_z_grid_cdf
 
@@ -565,6 +574,23 @@ def assert_same_label_tables(seq):
             assert got.ct(label, i) == want.ct(label, i)
 
 
+def test_counts_match_the_oracle_before_the_count_tables_are_built():
+    # ct and count are answered from the positions until ct_table is called
+    for seq in label_edge_strings():
+        got, want = LabelStats(seq), OldLabelStats(seq)
+        n = len(seq)
+        for label in got.alphabet:
+            assert got.count(label) == want.count(label)
+            for i in range(-n - 1, n + 1):
+                assert got.ct(label, i) == want.ct(label, i)
+            for i in (n + 1, -n - 2):
+                with pytest.raises(IndexError):
+                    want.ct(label, i)
+                with pytest.raises(IndexError):
+                    got.ct(label, i)
+        assert got._ct is None
+
+
 # Petrov check
 
 
@@ -729,6 +755,88 @@ def test_extract_families_matches_the_oracle_on_conditioned_draws(n, z0):
         assert_same_families(outcome(extract_families, perm.tolist()), want)
 
 
+def old_rotate_families(pair, families):
+    dr, dl, ur = families
+    z0, n = pair.z0, pair.n
+    x, y = dr.xs(), dr.ys()
+    p_dr = np.column_stack((x + y - z0 - 1, y - x + z0 - 1))
+    x, y = dl.xs(), dl.ys()
+    p_dl = np.column_stack(((z0 - x) + y - 1, (z0 - x) - y + 1))
+    x, y = ur.xs(), ur.ys()
+    p_ur = np.column_stack((x - y + 2 * n - 3 * z0 + 1, (x + y) - (int(x[0]) + int(y[0]))))
+    return (
+        PointFamily("P_DR", p_dr, HALF_SQRT2),
+        PointFamily("P_DL", p_dl, HALF_SQRT2),
+        PointFamily("P_UR", p_ur, HALF_SQRT2, first_index=1),
+    )
+
+
+def old_component_families(pair):
+    """The label components through one arange and one column_stack per
+    family; the anchor checks are left to the function under test."""
+    n, z0 = pair.n, pair.z0
+    sx, sy = OldLabelStats(pair.x), OldLabelStats(pair.y)
+    pos_d, pos_u = sx.pos_table("D"), sx.pos_table("U")
+    pos_l, pos_r = sy.pos_table("L"), sy.pos_table("R")
+    cdz, cuz = sx.ct("D", z0), sx.ct("U", z0)
+    n_dr = sx.count("D") - cdz + 1
+    n_dl = sy.ct("L", n - z0 + 1)
+    n_ur = sx.count("U") - cuz + 1
+    i = np.arange(n_dr, dtype=np.int64)
+    x_dr = np.column_stack((i, -(pos_d[cdz + i] - z0) + 2 * i))
+    y_abs = pos_r[i].copy()
+    y_abs[0] = 1
+    y_dr = np.column_stack((i, y_abs - 1 - 2 * i))
+    i = np.arange(n_dl, dtype=np.int64)
+    x_dl = np.column_stack((i, (z0 - pos_d[cdz - i]) - 2 * i))
+    y_dl = np.column_stack((i, -pos_l[i + 1] + 1 + 2 * i))
+    i = np.arange(1, n_ur + 1, dtype=np.int64)
+    after_u = pos_u[cuz + i] - z0
+    x_ur = np.column_stack((i, after_u - after_u[0] - 2 * i))
+    rr = pos_r[n - z0 + 1 - i]
+    y_ur = np.column_stack((i, rr - rr[0] + 2 * i))
+    kinds = ("X_DR", "Y_DR", "X_DL", "Y_DL", "X_UR", "Y_UR")
+    fams = (x_dr, y_dr, x_dl, y_dl, x_ur, y_ur)
+    return tuple(PointFamily(k, f, first_index=int(k.endswith("UR"))) for k, f in zip(kinds, fams))
+
+
+def assert_same_point_families(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.kind, g.scale, g.first_index) == (w.kind, w.scale, w.first_index)
+        assert_same_int_table(g.points, w.points)
+
+
+@pytest.mark.parametrize("n, z0", [(40_000, 26_000), (100_000, 68_000), (100_000, 99_000)])
+def test_rotated_and_component_families_match_the_oracles(n, z0):
+    for seed in range(2):
+        pair, _ = sample_conditioned(n, z0, seed)
+        families = extract_families(reconstruct(pair))
+        got = rotate_families(pair, families)
+        assert_same_point_families(got, old_rotate_families(pair, families))
+        assert_same_point_families(component_families(pair), old_component_families(pair))
+
+
+def test_component_families_match_the_oracle_on_moved_anchors():
+    # good pairs with the anchor moved to every D column near the end,
+    # most of them irregular
+    n = 40_000
+    pair, _ = sample_conditioned(n, 30_000, 3)
+    x_d = [z for z in range(n - 40, n + 1) if pair.x[z - 1] == "D"]
+    compared = 0
+    for z0 in x_d + [26_000, 25_727, 25_728]:
+        if pair.x[z0 - 1] != "D":
+            continue
+        moved = AnchoredPair(pair.x, pair.y, z0)
+        got = outcome(component_families, moved)
+        if isinstance(got[0], type):
+            assert z0 <= _assumption_floor(n) or "irregular" in got[1]
+            continue
+        assert_same_point_families(got, old_component_families(moved))
+        compared += 1
+    assert compared >= 10
+
+
 def test_extract_families_fails_like_the_oracle():
     n = 40_000
     pair, _ = sample_conditioned(n, 26_000, 7)
@@ -760,6 +868,32 @@ def test_label_strings_are_the_letters_of_the_drawn_bits():
             bits = np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
             bits[[i - 1 for i in forced]] = 0
             assert got == "".join(alphabet[b] for b in bits)
+
+
+# -------------------------------------------------------- report writer
+
+
+def integer_edge_arrays():
+    rng = np.random.default_rng(11)
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64):
+        info = np.iinfo(dtype)
+        edges = [0, 1, 9, 10, 99, 100, 101, info.min, info.min + 1, info.max - 1, info.max]
+        if info.min < 0:
+            edges += [-1, -9, -10, -11, -100]
+        a = np.array(edges, dtype=dtype)
+        yield a
+        yield a[::-1]  # a strided view
+        for v in (0, info.min, info.max):
+            yield np.array([v], dtype=dtype)
+            yield np.full(5, v, dtype=dtype)
+        yield np.zeros(0, dtype=dtype)
+        yield rng.integers(info.min, info.max, size=500, dtype=dtype, endpoint=True)
+
+
+@pytest.mark.parametrize("sep", [" ", ", ", ",\n      "])
+def test_integer_writer_matches_the_string_join(sep):
+    for a in integer_edge_arrays():
+        assert _join_ints(a, sep) == sep.join(map(str, a.tolist()))
 
 
 # --------------------------------------------------------------- errors
