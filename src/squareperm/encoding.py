@@ -90,9 +90,12 @@ class MatchingFailure(ValueError):
     """Label matching did not assemble into a permutation."""
 
 
-def _labels_to_string(mask: np.ndarray, when_true: str, when_false: str) -> str:
-    out = np.where(mask, np.uint8(ord(when_true)), np.uint8(ord(when_false)))
-    return out.tobytes().decode("ascii")
+def _bits_to_letters(bits: np.ndarray, zero: str, one: str) -> str:
+    """The letters of the 0/1 uint8 array ``bits``, which is overwritten."""
+    # 0 or the gap, then shifted onto the letters; uint8 arithmetic wraps
+    bits *= np.uint8((ord(one) - ord(zero)) % 256)
+    bits += np.uint8(ord(zero))
+    return bits.tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -164,11 +167,9 @@ class LabelStats:
     honor the extension conventions: ``ct(l, 0) = 0``, ``pos(l, 0) = 0``,
     and ``pos(l, i) = n`` once ``i`` exceeds the occurrence count.
 
-    Only the padded position tables are built up front: label matching
-    reads positions and a few counts, and a count is a binary search in
-    the positions.  The prefix-count tables, which the Petrov screen
-    reads whole, are built for both letters on the first
-    :meth:`ct_table` call and kept.
+    Only the padded position tables are built: label matching reads
+    positions and a few counts, and a count is a binary search in the
+    positions.
 
     >>> st = LabelStats("DUDD")
     >>> [st.ct("D", i) for i in range(5)]
@@ -177,7 +178,7 @@ class LabelStats:
     ([1, 3, 4], 2, 4)
     """
 
-    __slots__ = ("sequence", "n", "alphabet", "_count", "_pos", "_ct")
+    __slots__ = ("sequence", "n", "alphabet", "_count", "_pos")
 
     def __init__(self, sequence: str | Iterable[str]) -> None:
         seq = sequence if isinstance(sequence, str) else "".join(sequence)
@@ -208,7 +209,6 @@ class LabelStats:
         self.alphabet = alphabet
         self._count = count
         self._pos = pos
-        self._ct: dict[str, np.ndarray] | None = None
 
     @staticmethod
     def _first(seq: str, alphabet: tuple[str, str]) -> np.ndarray:
@@ -228,20 +228,6 @@ class LabelStats:
         if i > self.n + 1:
             return self.n
         return int(self._pos[label][i])
-
-    def ct_table(self, label: str) -> np.ndarray:
-        """Prefix counts, indexed 0..n (read-only)."""
-        if self._ct is None:
-            first, second = self.alphabet
-            # one prefix sum: the second letter's count is i minus the first's
-            ct_first = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(self._first(self.sequence, self.alphabet), out=ct_first[1:])
-            ct_second = np.arange(self.n + 1, dtype=np.int64)
-            ct_second -= ct_first
-            ct_first.setflags(write=False)
-            ct_second.setflags(write=False)
-            self._ct = {first: ct_first, second: ct_second}
-        return self._ct[label]
 
     def pos_table(self, label: str) -> np.ndarray:
         """Padded positions, indexed 0..n+1 (read-only); entry 0 is 0."""
@@ -380,8 +366,11 @@ def petrov_check(
 
     where (5) and (6) are the ``j = 0`` cases of (2) and (4) under the
     conventions ``ct(0) = 0`` and ``pos(0) = 0``.  Indices in (3), (4) and
-    (6) run over occurrence counts, not sequence positions.  A report lists
-    one witness pair per failing condition and label.  See
+    (6) run over occurrence counts, not sequence positions.  For either
+    letter ``|pos(i) - 2i| = |2 ct(k) - k|`` at ``k = pos(i)``: twice the
+    deviation of (5) at ``k``, against twice its bound.  So once (5) has
+    passed, (6) holds and is not evaluated.  A report lists one witness
+    pair per failing condition and label.  See
     :data:`DEFAULT_PETROV_CONDITIONS` for why (2)-(4) are opt-in.
 
     >>> petrov_check(LabelStats("D" * 16)).passed
@@ -416,13 +405,13 @@ def petrov_check(
     # second letter's count deviation is the first's negated, so the count
     # conditions (1), (2), (5) run once: spreads, distance differences and
     # |dev| are unchanged, and in (1) a window's argmax and argmin swap.
-    first, second = stats.alphabet
-    dev_ct = stats.ct_table(first) - stats.ct_table(second)  # 2 ct(i) - i
+    first = stats.alphabet[0]
+    dev_ct = np.zeros(n + 1, dtype=np.int64)  # 2 ct(i) - i: a walk of +-1 steps
+    steps = stats._first(stats.sequence, stats.alphabet).view(np.int8) * np.int8(2) - np.int8(1)
+    np.cumsum(steps, dtype=np.int64, out=dev_ct[1:])
     mirrored: dict[int, tuple[int, int, int] | None] = {}
     for label in stats.alphabet:
-        m = stats.count(label)
-        dev_pos = np.arange(0, -2 * (m + 1), -2, dtype=np.int64)
-        dev_pos += stats.pos_table(label)[: m + 1]
+        dev_pos = None
         for cond in wanted:
             half, bound = limits[cond]
             hit: tuple[int, int, int] | None
@@ -433,16 +422,23 @@ def petrov_check(
                 mirrored[1] = None if hit is None else (hit[1], hit[0], hit[2])
             elif cond == 2:
                 hit = mirrored[2] = _long_range_violation(dev_ct, d_min, 1.0)
-            elif cond == 3:
-                hit = _window_extremes(dev_pos, reach, bound)
-            elif cond == 4:
-                hit = _long_range_violation(dev_pos, d_min, 2.0)
             elif cond == 5:
                 k = int(np.argmax(np.abs(dev_ct)))
                 hit = mirrored[5] = (k, 0, abs(int(dev_ct[k])))
+            elif cond == 6 and 5 in mirrored and mirrored[5][2] < bound:
+                continue  # (5) passed under the same bound, so (6) holds
             else:
-                k = int(np.argmax(np.abs(dev_pos)))
-                hit = (k, 0, abs(int(dev_pos[k])))
+                if dev_pos is None:
+                    m = stats.count(label)
+                    dev_pos = np.arange(0, -2 * (m + 1), -2, dtype=np.int64)
+                    dev_pos += stats.pos_table(label)[: m + 1]
+                if cond == 3:
+                    hit = _window_extremes(dev_pos, reach, bound)
+                elif cond == 4:
+                    hit = _long_range_violation(dev_pos, d_min, 2.0)
+                else:
+                    k = int(np.argmax(np.abs(dev_pos)))
+                    hit = (k, 0, abs(int(dev_pos[k])))
             if hit is None:
                 continue
             i, j, dev = hit
@@ -514,8 +510,9 @@ def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
     AnchoredPair(x='DDDD', y='LLLL', z0=4)
     """
     is_min, is_left, z0 = _label_masks(*_square_records(p))
-    x = _labels_to_string(is_min, "D", "U")
-    return AnchoredPair(x, _labels_to_string(is_left, "L", "R"), z0)
+    # the masks are fresh, so their bytes can be turned into letters in place
+    x = _bits_to_letters(is_min.view(np.uint8), "U", "D")
+    return AnchoredPair(x, _bits_to_letters(is_left.view(np.uint8), "R", "L"), z0)
 
 
 def _anchor_counts(pair: AnchoredPair) -> tuple[int, int, int, int]:

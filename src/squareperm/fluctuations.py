@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import _square_records
+from .core import _records_of_square, _square_records
 from .encoding import AnchoredPair, reconstruct
 from .sampler import replicate_rng, sample_conditioned
 
@@ -139,7 +139,15 @@ def extract_families(
     assumption ``z0 > n/2 + 10 n^0.6``, which puts the whole top-left
     corner strictly before the anchor.
     """
-    arr, (_, lrmin, rlmax, rlmin) = _square_records(p)
+    return _families_of(*_square_records(p))
+
+
+def _families_of(
+    arr: np.ndarray, masks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[PointFamily, PointFamily, PointFamily]:
+    """:func:`extract_families` of the int64 permutation ``arr`` with its
+    record masks, which the caller has validated."""
+    _, lrmin, rlmax, rlmin = masks
     n = arr.size
     z0 = int(np.argmin(arr)) + 1
     if not z0 > _assumption_floor(n):
@@ -376,8 +384,9 @@ def replicate_path_values(
     order and still assemble into the same statistics.
     """
     pair, _ = sample_conditioned(n, t_n, replicate_rng(seed, k))
+    # the matching has proved the reconstruction a permutation
     perm = reconstruct(pair)
-    rotated = rotate_families(pair, extract_families(perm))
+    rotated = rotate_families(pair, _families_of(perm, _records_of_square(perm)))
     comps = component_families(pair)
     _check_sample_invariants(pair, rotated, comps)
     t_arr = np.asarray(tuple(float(t) for t in times))
@@ -389,7 +398,7 @@ def stats_from_values(times: Iterable[float], values: np.ndarray) -> EndpointSta
     times = tuple(float(t) for t in times)
     t_arr = np.asarray(times)
     values = np.asarray(values, dtype=np.float64)
-    if values.shape[0] != 3 or values.shape[2] != len(times):
+    if values.ndim != 3 or values.shape[0] != 3 or values.shape[2] != len(times):
         raise ValueError("values must have shape (3, replicates, len(times))")
     r = values.shape[1]
     if r < 2:
@@ -444,7 +453,7 @@ def endpoint_stats(
     integer invariants, and records path values at the requested times.
     Replicate k uses the stream ``replicate_rng(seed, k)``, so results do
     not depend on execution order; a generator (or None, fresh entropy)
-    supplies the master seed with one draw.
+    supplies the master seed with one draw.  Times must lie in (0, 1].
 
     Limit targets: variance 2t per path, covariance t for (DR, DL) and
     (DR, UR), 0 for (DL, UR).
@@ -474,6 +483,8 @@ def _endpoint_stats(
     if replicates < 2:
         raise ValueError("need at least two replicates")
     times = tuple(float(t) for t in times)
+    if not times or not all(0.0 < t <= 1.0 for t in times):
+        raise ValueError("times must lie in (0, 1]")
     if rng is None or isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng).integers(2**63)
     blocks = mapper(

@@ -33,6 +33,7 @@ from .core import _records_of_square
 from .encoding import (
     DEFAULT_PETROV_CONDITIONS,
     AnchoredPair,
+    _bits_to_letters,
     _label_masks,
     margin_ok,
     passes_petrov,
@@ -92,10 +93,7 @@ def _random_label_string(
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
     for i in forced:
         bits[i - 1] = 0
-    low, high = ord(alphabet[0]), ord(alphabet[1])
-    bits *= np.uint8(high - low)  # 0 or the gap, then shifted onto the letters
-    bits += np.uint8(low)
-    return bits.tobytes().decode("ascii")
+    return _bits_to_letters(bits, *alphabet)
 
 
 def _draw_pair(rng: np.random.Generator, n: int, z0: int) -> AnchoredPair:

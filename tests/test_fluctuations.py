@@ -103,6 +103,15 @@ def test_replicate_values_are_reproducible_and_parallel_safe():
     assert not np.array_equal(first, other)
 
 
+def test_replicate_values_are_the_public_composition():
+    times = (0.25, 0.5, 1.0)
+    for k in range(3):
+        pair, _ = sample_conditioned(N, T_N, replicate_rng(5, k))
+        rotated = rotate_families(pair, extract_families(reconstruct(pair)))
+        want = np.stack([path_F(fam)(np.asarray(times)) for fam in rotated])
+        assert np.array_equal(replicate_path_values(N, T_N, times, seed=5, k=k), want)
+
+
 def test_endpoint_stats_match_the_replicate_helper():
     # the serial driver must agree with the per-replicate pure function
     times = (0.5, 1.0)
@@ -135,6 +144,10 @@ def test_endpoint_stats_checks_before_drawing(monkeypatch):
         endpoint_stats(N, T_N, replicates=1, rng=1)
     with pytest.raises(ValueError, match="outside the valid interval"):
         endpoint_stats(N, int(0.7 * N), replicates=2, rng=np.random.default_rng(1))
+    # np.interp would clamp the paths and report targets 2t no path reaches
+    for times in ((), (1.0, 1.5, 3.0), (-1.0,), (0.0,), (float("nan"),)):
+        with pytest.raises(ValueError, match=r"times must lie in \(0, 1\]"):
+            endpoint_stats(N, T_N, times=times, replicates=2, rng=1)
 
 
 def test_moment_arithmetic_on_synthetic_values():
@@ -160,6 +173,8 @@ def test_moment_arithmetic_on_synthetic_values():
 def test_moment_estimates_need_two_replicates():
     with pytest.raises(ValueError):
         stats_from_values((1.0,), np.zeros((3, 1, 1)))
+    with pytest.raises(ValueError, match="values must have shape"):
+        stats_from_values((1.0,), np.zeros((3, 2)))
 
 
 def test_endpoint_stats_requires_a_valid_anchor():

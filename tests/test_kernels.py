@@ -281,7 +281,7 @@ def test_petrov_screen_skips_the_filter_on_typical_draws():
     bound = 2 * n**0.4
     screened = 0
     for s in label_strings(n, 3)[:6]:  # the fair-coin strings
-        stats = LabelStats(s)
+        stats = OldLabelStats(s)
         dev = 2 * stats.ct_table(stats.alphabet[0]) - np.arange(n + 1)
         exact = unscreened_window_extremes(dev, reach, bound)
         got = encoding._window_extremes(dev, reach, bound)
@@ -560,12 +560,9 @@ def assert_same_label_tables(seq):
     assert got.alphabet == want.alphabet and got.n == want.n
     n = len(seq)
     for label in got.alphabet:
-        for table, ref in (
-            (got.ct_table(label), want.ct_table(label)),
-            (got.pos_table(label), want.pos_table(label)),
-        ):
-            assert_same_int_table(table, ref)
-            assert not table.flags.writeable
+        table = got.pos_table(label)
+        assert_same_int_table(table, want.pos_table(label))
+        assert not table.flags.writeable
         assert got.count(label) == want.count(label)
         assert_same_int_table(got.positions(label), want.pos_table(label)[1 : 1 + want.count(label)])
         for i in range(-n - 2, n + 4):
@@ -574,8 +571,7 @@ def assert_same_label_tables(seq):
             assert got.ct(label, i) == want.ct(label, i)
 
 
-def test_counts_match_the_oracle_before_the_count_tables_are_built():
-    # ct and count are answered from the positions until ct_table is called
+def test_counts_match_the_oracle_from_the_positions():
     for seq in label_edge_strings():
         got, want = LabelStats(seq), OldLabelStats(seq)
         n = len(seq)
@@ -588,7 +584,6 @@ def test_counts_match_the_oracle_before_the_count_tables_are_built():
                     want.ct(label, i)
                 with pytest.raises(IndexError):
                     got.ct(label, i)
-        assert got._ct is None
 
 
 # Petrov check
@@ -617,7 +612,9 @@ def petrov_strings(n, seed):
 def test_petrov_report_matches_the_per_label_oracle(n):
     hit = set()
     for s in petrov_strings(n, n):
-        for conditions in (ALL_PETROV_CONDITIONS, (1, 5, 6), (1,), (2,), (5,), (3, 4, 6)):
+        for conditions in (
+            ALL_PETROV_CONDITIONS, (1, 5, 6), (1,), (2,), (5,), (3, 4, 6), (5, 6), (6,)
+        ):
             got = petrov_check(LabelStats(s), n, conditions)
             want = old_petrov_check(OldLabelStats(s), n, conditions)
             assert got == want
@@ -629,6 +626,19 @@ def test_petrov_report_matches_the_per_label_oracle(n):
         # every count condition fails for both letters of both alphabets
         for label in "DULR":
             assert {(1, label), (2, label), (5, label)} <= hit
+
+
+@pytest.mark.parametrize("n", [5, 64, 2000, 20000])
+def test_position_deviations_never_exceed_the_count_deviations(n):
+    # |pos(i) - 2i| = |2 ct(k) - k| at k = pos(i), so (5) passing implies (6)
+    for s in petrov_strings(n, n) + label_strings(n, n):
+        stats = OldLabelStats(s)
+        for label in stats.alphabet:
+            m = stats.count(label)
+            dev_pos = stats.pos_table(label)[: m + 1] - 2 * np.arange(m + 1)
+            dev_ct = 2 * stats.ct_table(label) - np.arange(n + 1)
+            assert np.array_equal(dev_pos, -dev_ct[stats.pos_table(label)[: m + 1]])
+            assert np.abs(dev_pos).max() <= np.abs(dev_ct).max()
 
 
 def test_petrov_check_refuses_a_size_other_than_the_length():
