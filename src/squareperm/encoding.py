@@ -8,6 +8,12 @@ a right record, and the anchor ``z0`` is the column of the lowest point.
 The pair is *good* when ``X[1] = X[n] = X[z0] = D`` and ``Y[1] = Y[n] = L``,
 which projection always produces.
 
+A pair's canonical form is two bool masks, ``X == D`` and ``Y == L``:
+the samplers draw them, :func:`project` computes them, and the label
+tables, the Petrov screen and the matching read them.  The letter
+strings are built on demand, for text, JSON and ``repr``, and a string
+is validated once, where it comes in.
+
 The inverse direction matches label occurrences back into points along the
 four sides of the square.  It inverts the projection on every square
 permutation; a good pair that is no square's projection either fails
@@ -77,68 +83,112 @@ _X_ALPHABET = ("D", "U")
 _Y_ALPHABET = ("L", "R")
 
 
-def _over(labels: object, alphabet: bytes) -> bool:
-    """True when ``labels`` is a string over the ASCII letters of ``alphabet``."""
-    return (
-        isinstance(labels, str)
-        and labels.isascii()
-        and not labels.encode("ascii").translate(None, alphabet)
-    )
+def _mask_of(labels: object, alphabet: tuple[str, str]) -> np.ndarray | None:
+    """``labels == alphabet[0]`` as a read-only bool mask, or None unless
+    ``labels`` is a string over the two ASCII letters of ``alphabet``."""
+    if not (isinstance(labels, str) and labels.isascii()):
+        return None
+    raw = labels.encode("ascii")
+    if raw.translate(None, "".join(alphabet).encode("ascii")):
+        return None
+    mask = np.frombuffer(raw, dtype=np.uint8) == ord(alphabet[0])
+    mask.setflags(write=False)
+    return mask
 
 
 class MatchingFailure(ValueError):
     """Label matching did not assemble into a permutation."""
 
 
-def _bits_to_letters(bits: np.ndarray, zero: str, one: str) -> str:
-    """The letters of the 0/1 uint8 array ``bits``, which is overwritten."""
+def _letters(mask: np.ndarray, alphabet: tuple[str, str]) -> str:
+    """The label string of a bool mask: ``alphabet[0]`` where it holds,
+    ``alphabet[1]`` elsewhere."""
+    first, second = map(ord, alphabet)
     # 0 or the gap, then shifted onto the letters; uint8 arithmetic wraps
-    bits *= np.uint8((ord(one) - ord(zero)) % 256)
-    bits += np.uint8(ord(zero))
-    return bits.tobytes().decode("ascii")
+    codes = np.multiply(mask, np.uint8((first - second) % 256), dtype=np.uint8)
+    codes += np.uint8(second)
+    return codes.tobytes().decode("ascii")
 
 
-@dataclass(frozen=True)
 class AnchoredPair:
-    """A pair of label sequences anchored at ``z0``."""
+    """A pair of label sequences anchored at ``z0``.
 
-    x: str  # column labels, over {U, D}
-    y: str  # row labels, over {L, R}
-    z0: int  # anchor column: position of the lowest point
+    The canonical form is two read-only bool masks, ``x_is_d`` (``X == D``,
+    by column) and ``y_is_l`` (``Y == L``, by row), and the anchor.  The
+    strings ``x`` over {U, D} and ``y`` over {L, R} are built on demand.
+    A string is validated once, by the constructor, where it comes in;
+    the samplers and :func:`project` build pairs from masks of their own.
+    Pairs are immutable and compare and hash by value.
+    """
 
-    def __post_init__(self) -> None:
-        if isinstance(self.x, str) and isinstance(self.y, str) and len(self.x) != len(self.y):
+    def __init__(self, x: str, y: str, z0: int) -> None:
+        if isinstance(x, str) and isinstance(y, str) and len(x) != len(y):
             raise ValueError("label sequences differ in length")
-        if not _over(self.x, b"DU"):
+        x_is_d = _mask_of(x, _X_ALPHABET)
+        if x_is_d is None:
             raise ValueError("x labels must be U or D")
-        if not _over(self.y, b"LR"):
+        y_is_l = _mask_of(y, _Y_ALPHABET)
+        if y_is_l is None:
             raise ValueError("y labels must be L or R")
-        if not 1 <= self.z0 <= len(self.x):
+        if not 1 <= z0 <= len(x):
             raise ValueError("anchor out of range")
+        self.__dict__.update(x_is_d=x_is_d, y_is_l=y_is_l, z0=z0, x=x, y=y)
+
+    @classmethod
+    def _of_masks(cls, x_is_d: np.ndarray, y_is_l: np.ndarray, z0: int) -> "AnchoredPair":
+        """The pair of two bool masks of equal length, taken over unchecked
+        and made read-only."""
+        x_is_d.setflags(write=False)
+        y_is_l.setflags(write=False)
+        pair = cls.__new__(cls)
+        pair.__dict__.update(x_is_d=x_is_d, y_is_l=y_is_l, z0=z0)
+        return pair
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an AnchoredPair")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AnchoredPair):
+            return NotImplemented
+        return (
+            self.z0 == other.z0
+            and np.array_equal(self.x_is_d, other.x_is_d)
+            and np.array_equal(self.y_is_l, other.y_is_l)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.x_is_d.tobytes(), self.y_is_l.tobytes(), self.z0))
+
+    def __repr__(self) -> str:
+        return f"AnchoredPair(x={self.x!r}, y={self.y!r}, z0={self.z0!r})"
+
+    @cached_property
+    def x(self) -> str:
+        """Column labels, over {U, D}."""
+        return _letters(self.x_is_d, _X_ALPHABET)
+
+    @cached_property
+    def y(self) -> str:
+        """Row labels, over {L, R}."""
+        return _letters(self.y_is_l, _Y_ALPHABET)
 
     @property
     def n(self) -> int:
-        return len(self.x)
+        return self.x_is_d.size
 
     @property
     def good(self) -> bool:
         """Endpoint labels and the anchor column all read D (resp. L)."""
-        x, y = self.x, self.y
-        return (
-            x[0] == "D"
-            and x[-1] == "D"
-            and x[self.z0 - 1] == "D"
-            and y[0] == "L"
-            and y[-1] == "L"
-        )
+        x, y = self.x_is_d, self.y_is_l
+        return bool(x[0] and x[-1] and x[self.z0 - 1] and y[0] and y[-1])
 
     @cached_property
     def x_stats(self) -> "LabelStats":
-        return LabelStats(self.x)
+        return LabelStats._of_mask(self.x_is_d, _X_ALPHABET)
 
     @cached_property
     def y_stats(self) -> "LabelStats":
-        return LabelStats(self.y)
+        return LabelStats._of_mask(self.y_is_l, _Y_ALPHABET)
 
     def to_text(self) -> str:
         """Three-line form: X, Y, then the anchor in decimal."""
@@ -169,7 +219,8 @@ class LabelStats:
 
     Only the padded position tables are built: label matching reads
     positions and a few counts, and a count is a binary search in the
-    positions.
+    positions.  The tables of a pair's labels are built from its mask,
+    with the pair's alphabet; a string is validated here.
 
     >>> st = LabelStats("DUDD")
     >>> [st.ct("D", i) for i in range(5)]
@@ -178,24 +229,32 @@ class LabelStats:
     ([1, 3, 4], 2, 4)
     """
 
-    __slots__ = ("sequence", "n", "alphabet", "_count", "_pos")
+    __slots__ = ("n", "alphabet", "mask", "_count", "_pos")
 
     def __init__(self, sequence: str | Iterable[str]) -> None:
         seq = sequence if isinstance(sequence, str) else "".join(sequence)
         if not seq:
             raise ValueError("empty label sequence")
-        if _over(seq, b"DU"):
-            alphabet = _X_ALPHABET
-        elif _over(seq, b"LR"):
-            alphabet = _Y_ALPHABET
-        else:
+        alphabet = _X_ALPHABET if seq[0] in _X_ALPHABET else _Y_ALPHABET
+        mask = _mask_of(seq, alphabet)
+        if mask is None:
             raise ValueError("labels must be over {U,D} or {L,R}")
-        n = len(seq)
-        first = self._first(seq, alphabet)
+        self._fill(mask, alphabet)
+
+    @classmethod
+    def _of_mask(cls, mask: np.ndarray, alphabet: tuple[str, str]) -> "LabelStats":
+        """The tables of the sequence reading ``alphabet[0]`` where the
+        read-only bool ``mask`` holds, taken over unchecked."""
+        stats = cls.__new__(cls)
+        stats._fill(mask, alphabet)
+        return stats
+
+    def _fill(self, mask: np.ndarray, alphabet: tuple[str, str]) -> None:
+        n = mask.size
         count: dict[str, int] = {}
         pos: dict[str, np.ndarray] = {}
-        for label, mask in ((alphabet[0], first), (alphabet[1], ~first)):
-            where = np.flatnonzero(mask)
+        for label, occurs in ((alphabet[0], mask), (alphabet[1], ~mask)):
+            where = np.flatnonzero(occurs)
             m = where.size
             padded = np.empty(n + 2, dtype=np.int64)
             padded[0] = 0
@@ -204,16 +263,16 @@ class LabelStats:
             padded.setflags(write=False)
             count[label] = m
             pos[label] = padded
-        self.sequence = seq
         self.n = n
         self.alphabet = alphabet
+        self.mask = mask  # where the alphabet's first letter stands
         self._count = count
         self._pos = pos
 
-    @staticmethod
-    def _first(seq: str, alphabet: tuple[str, str]) -> np.ndarray:
-        """Mask of the positions holding the alphabet's first letter."""
-        return np.frombuffer(seq.encode("ascii"), dtype=np.uint8) == ord(alphabet[0])
+    @property
+    def sequence(self) -> str:
+        """The label string, built on demand."""
+        return _letters(self.mask, self.alphabet)
 
     def count(self, label: str) -> int:
         """Total occurrences of ``label``."""
@@ -347,6 +406,15 @@ def _long_range_violation(
     return None
 
 
+def _walk_dtype(n: int) -> type[np.signedinteger]:
+    """Integer type of the count walk ``2 ct(i) - i`` of a length-``n`` string.
+
+    Its entries lie in [-n, n], so its spreads and lagged differences reach
+    2n: int32 holds them while ``n < 2^30``, int64 from there up.
+    """
+    return np.int32 if n < 2**30 else np.int64
+
+
 def petrov_check(
     stats: LabelStats,
     n: int | None = None,
@@ -406,9 +474,10 @@ def petrov_check(
     # conditions (1), (2), (5) run once: spreads, distance differences and
     # |dev| are unchanged, and in (1) a window's argmax and argmin swap.
     first = stats.alphabet[0]
-    dev_ct = np.zeros(n + 1, dtype=np.int64)  # 2 ct(i) - i: a walk of +-1 steps
-    steps = stats._first(stats.sequence, stats.alphabet).view(np.int8) * np.int8(2) - np.int8(1)
-    np.cumsum(steps, dtype=np.int64, out=dev_ct[1:])
+    walk = _walk_dtype(n)
+    dev_ct = np.zeros(n + 1, dtype=walk)  # 2 ct(i) - i: a walk of +-1 steps
+    steps = stats.mask.view(np.int8) * np.int8(2) - np.int8(1)
+    np.cumsum(steps, dtype=walk, out=dev_ct[1:])
     mirrored: dict[int, tuple[int, int, int] | None] = {}
     for label in stats.alphabet:
         dev_pos = None
@@ -509,10 +578,7 @@ def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
     >>> project((4, 3, 2, 1))
     AnchoredPair(x='DDDD', y='LLLL', z0=4)
     """
-    is_min, is_left, z0 = _label_masks(*_square_records(p))
-    # the masks are fresh, so their bytes can be turned into letters in place
-    x = _bits_to_letters(is_min.view(np.uint8), "U", "D")
-    return AnchoredPair(x, _bits_to_letters(is_left.view(np.uint8), "R", "L"), z0)
+    return AnchoredPair._of_masks(*_label_masks(*_square_records(p)))
 
 
 def _anchor_counts(pair: AnchoredPair) -> tuple[int, int, int, int]:

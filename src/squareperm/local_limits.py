@@ -155,7 +155,7 @@ def classify_phi(p: Sequence[int] | np.ndarray, i: int, h: int) -> WindowLabels:
     lo = max(1, i - h)
     hi = min(n, i + h)
     d_set = frozenset(
-        x - (i - h) + 1 for x in range(lo, hi + 1) if pair.x[x - 1] == "D"
+        x - (i - h) + 1 for x in range(lo, hi + 1) if pair.x_is_d[x - 1]
     )
     return WindowLabels(tag, d_set)
 

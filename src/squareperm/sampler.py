@@ -33,7 +33,6 @@ from .core import _records_of_square
 from .encoding import (
     DEFAULT_PETROV_CONDITIONS,
     AnchoredPair,
-    _bits_to_letters,
     _label_masks,
     margin_ok,
     passes_petrov,
@@ -86,20 +85,18 @@ def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng((int(master_seed), int(replicate)))
 
 
-def _random_label_string(
-    rng: np.random.Generator, n: int, alphabet: tuple[str, str], forced: Iterable[int]
-) -> str:
-    """Uniform label string with the given 1-based positions forced low."""
+def _random_label_mask(rng: np.random.Generator, n: int, forced: Iterable[int]) -> np.ndarray:
+    """Uniform label mask, True for the alphabet's first letter (a drawn 0
+    bit), with the given 1-based positions forced to it."""
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
     for i in forced:
         bits[i - 1] = 0
-    return _bits_to_letters(bits, *alphabet)
+    return bits == 0
 
 
 def _draw_pair(rng: np.random.Generator, n: int, z0: int) -> AnchoredPair:
-    x = _random_label_string(rng, n, ("D", "U"), (1, n, z0))
-    y = _random_label_string(rng, n, ("L", "R"), (1, n))
-    return AnchoredPair(x, y, z0)
+    x_is_d = _random_label_mask(rng, n, (1, n, z0))
+    return AnchoredPair._of_masks(x_is_d, _random_label_mask(rng, n, (1, n)), z0)
 
 
 def _anchor_label_is_d(rng: np.random.Generator, n: int, z0: int) -> bool:
@@ -158,17 +155,19 @@ def _square_of(pair: AnchoredPair) -> np.ndarray | None:
 
     ``project`` is injective and ``reconstruct`` inverts it, so the
     reconstruction is the preimage exactly when it is square and its
-    projection, compared as masks with the pair's label bytes, is the
-    pair.  The matching has already proved it a permutation.
+    projection, compared as masks with the pair's masks, is the pair.
+    The matching has already proved it a permutation.
     """
     try:
         p = reconstruct(pair)
         is_min, is_left, z0 = _label_masks(p, _records_of_square(p))
     except ValueError:  # no bijection (MatchingFailure) or not square: no preimage
         return None
-    x_is_d = np.frombuffer(pair.x.encode("ascii"), np.uint8) == ord("D")
-    y_is_l = np.frombuffer(pair.y.encode("ascii"), np.uint8) == ord("L")
-    same = z0 == pair.z0 and np.array_equal(is_min, x_is_d) and np.array_equal(is_left, y_is_l)
+    same = (
+        z0 == pair.z0
+        and np.array_equal(is_min, pair.x_is_d)
+        and np.array_equal(is_left, pair.y_is_l)
+    )
     return p if same else None
 
 

@@ -641,6 +641,13 @@ def test_position_deviations_never_exceed_the_count_deviations(n):
             assert np.abs(dev_pos).max() <= np.abs(dev_ct).max()
 
 
+def test_petrov_walk_is_int32_below_two_to_the_thirty():
+    # the walk 2 ct(i) - i lies in [-n, n]; its spreads reach 2n
+    for n, dtype in ((2**30 - 1, np.int32), (2**30, np.int64), (2**31, np.int64)):
+        assert encoding._walk_dtype(n) is dtype
+    assert 2 * (2**30 - 1) <= np.iinfo(np.int32).max < 2 * 2**30
+
+
 def test_petrov_check_refuses_a_size_other_than_the_length():
     with pytest.raises(ValueError, match="differs from the sequence length"):
         petrov_check(LabelStats("DUDU" * 4), 15)
@@ -872,10 +879,10 @@ def test_extract_families_fails_like_the_oracle():
 
 def test_label_strings_are_the_letters_of_the_drawn_bits():
     for seed, n in enumerate((3, 10, 1001)):
-        for alphabet, forced in ((("D", "U"), (1, n, 2)), (("L", "R"), (1, n))):
-            rng = np.random.default_rng(seed)
-            got = sampler._random_label_string(rng, n, alphabet, forced)
-            bits = np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
+        pair = sampler._draw_pair(np.random.default_rng(seed), n, 2)
+        rng = np.random.default_rng(seed)  # X's bits are drawn first, then Y's
+        for got, alphabet, forced in ((pair.x, "DU", (1, n, 2)), (pair.y, "LR", (1, n))):
+            bits = rng.integers(0, 2, size=n, dtype=np.uint8)
             bits[[i - 1 for i in forced]] = 0
             assert got == "".join(alphabet[b] for b in bits)
 

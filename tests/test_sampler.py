@@ -22,7 +22,14 @@ from squareperm import (
     sample_regular,
     sample_square_approx,
 )
-from squareperm.encoding import ALL_PETROV_CONDITIONS, AnchoredPair, MatchingFailure
+from squareperm.encoding import (
+    ALL_PETROV_CONDITIONS,
+    AnchoredPair,
+    MatchingFailure,
+    anchors,
+    petrov_check,
+)
+from squareperm.fluctuations import replicate_path_values
 from squareperm.sampler import (
     SamplerStats,
     SamplingBudgetExceeded,
@@ -238,6 +245,64 @@ def test_sample_conditioned_stream_is_pinned(seed, z0, digest, stats):
     pair, got = sample_conditioned(N, 1300, rng=seed)
     assert (pair.z0, label_digest(pair)) == (z0, digest)
     assert got == SamplerStats(*stats)
+
+
+# (n, seed, sha256 of the little-endian int64 draw of sample_square_approx)
+SQUARE_DRAWS = [
+    (3, 0, "594daa4b57da3924e41e3ee694bd1b0257acd8bb7db98ff854f8c5eb75b7cae1"),
+    (10, 1, "d635ce94d3a834885be1433c20a88cc726ee54a8479cec38ec2f7f2b7caffa5b"),
+    (1000, 2, "e3d7a942b690009ea1c504f845a5b2c2b1f173fc2d6d7c74035cdd1f3b53d70a"),
+    (10_000, 3, "ac8c3d66c39d8fe946748ff78c894e175d29f020d9233ef64723e051584632d2"),
+]
+# (seed, k, sha256 of the little-endian float64 values of
+# replicate_path_values(50_000, 32_500, (0.25, 0.5, 0.75, 1.0), seed, k))
+PATH_VALUES = [
+    (1, 0, "18d3757d096957224d3e8d0d73acc26d7dfe362d8098e1086bc176694bd8948d"),
+    (1, 1, "2502f55c61c4468981073446f6fb44b6ccd05388e2464553937f500368086eaf"),
+    (7, 2, "65582e8595624ec7eaa996d98e68ab5926a55e357917b1ae31fa0ba2074bb81a"),
+]
+
+
+def bytes_digest(arr, dtype):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n, seed, digest", SQUARE_DRAWS)
+def test_sample_square_stream_is_pinned(n, seed, digest):
+    assert bytes_digest(sample_square_approx(n, seed), "<i8") == digest
+
+
+@pytest.mark.parametrize("seed, k, digest", PATH_VALUES)
+def test_replicate_path_values_are_pinned(seed, k, digest):
+    values = replicate_path_values(50_000, 32_500, (0.25, 0.5, 0.75, 1.0), seed, k)
+    assert values.shape == (3, 4)
+    assert bytes_digest(values, "<f8") == digest
+
+
+def mask_built_pairs(n, seed):
+    """The pairs the samplers and ``project`` build from masks at size n."""
+    rng = replicate_rng(seed, n)
+    pairs = [sample_good(n, rng), sample_conditioned(n, n // 2 + 1, rng)[0]]
+    pairs.append(project(sample_square_approx(n, rng)))
+    if n >= 2048:
+        pairs.append(sample_regular(n, rng)[0])
+    return pairs
+
+
+@pytest.mark.parametrize("n", [*range(3, 10), N])
+def test_mask_built_pairs_match_string_built_pairs(n):
+    for pair in mask_built_pairs(n, 41):
+        again = AnchoredPair(pair.x, pair.y, pair.z0)
+        assert again == pair and hash(again) == hash(pair)
+        assert len({again, pair}) == 1
+        assert again.to_text() == pair.to_text()
+        assert again.to_json_obj() == pair.to_json_obj()
+        assert repr(again) == repr(pair)
+        assert again.good and pair.good
+        assert anchors(again) == anchors(pair)
+        for conditions in ((1, 5, 6), ALL_PETROV_CONDITIONS):
+            for got, want in ((pair.x_stats, again.x_stats), (pair.y_stats, again.y_stats)):
+                assert petrov_check(got, n, conditions) == petrov_check(want, n, conditions)
 
 
 def test_exhausted_budget_counts_every_kind_of_reject():
