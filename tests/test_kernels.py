@@ -1,7 +1,8 @@
 """The vectorized estimator kernels against brute-force oracles.
 
 Window counting is checked against ``restrict`` at every root, the k = 2
-inversion count against a pair count, consecutive occurrences against
+inversion count (the record-chain peel and the radix kernel it hands the
+interior to) against a pair count, consecutive occurrences against
 ``pattern_at`` over every window, the limit CDF table and the grid
 box distance against the scalar ``mu_z_rect`` and explicit maxima over
 grid rectangles, and the block-screened Petrov window check against the
@@ -43,6 +44,7 @@ from squareperm import (
     coc_proportion,
     count_good_pairs,
     empirical_window_distribution,
+    enumerate_square,
     grid_cdf,
     mu_sigma_rect,
     mu_z_rect,
@@ -53,7 +55,13 @@ from squareperm import (
 )
 from squareperm import encoding, sampler
 from squareperm.cli import _join_ints
-from squareperm.core import _as_value_array, _inversion_count, _record_masks, _square_records
+from squareperm.core import (
+    _as_value_array,
+    _inversion_count,
+    _radix_inversions,
+    _record_masks,
+    _square_records,
+)
 from squareperm.encoding import ALL_PETROV_CONDITIONS, PetrovViolation
 from squareperm.fluctuations import (
     HALF_SQRT2,
@@ -131,31 +139,69 @@ def pair_count(p) -> int:
 
 
 def test_inversions_on_every_small_permutation():
-    for n in range(2, 7):
-        total = math.comb(n, 2)
-        for p in itertools.permutations(range(1, n + 1)):
-            inv = pair_count(p)
-            assert _inversion_count(np.asarray(p)) == inv
+    # every permutation up to size 7 (at sizes 1 and 2 each point is in
+    # several record chains) and every square of size 8, where the chains
+    # hold every point
+    perms = [p for n in range(1, 8) for p in itertools.permutations(range(1, n + 1))]
+    for p in perms + enumerate_square(8):
+        n = len(p)
+        inv = pair_count(p)
+        assert _inversion_count(np.asarray(p)) == inv
+        if 2 <= n <= 6:
             down = occ_proportion((2, 1), p)
             up = occ_proportion((1, 2), p)
-            assert down == Fraction(inv, total)
+            assert down == Fraction(inv, math.comb(n, 2))
             assert up + down == 1
 
 
 def test_inversions_on_random_permutations():
+    # _inversion_count hands the radix kernel only the points in no record
+    # chain, so the kernel is checked here on whole arrays: sizes at and
+    # around powers of two, where its passes change
     rng = np.random.default_rng(31)
-    # sizes at and around powers of two, where the radix passes change
     sizes = [1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 255, 256, 257, 300]
     sizes += [int(v) for v in rng.integers(2, 301, size=20)]
     for seed, n in enumerate(sizes):
         p = random_perm(n, seed)
+        assert _radix_inversions(np.asarray(p)) == pair_count(p)
         assert _inversion_count(np.asarray(p)) == pair_count(p)
         if n >= 2:
             assert occ_proportion((1, 2), p) + occ_proportion((2, 1), p) == 1
+    # the identity and the reversal: each point sits in two or more chains
     for n in (1, 2, 17, 256, 300):
         ident = np.arange(1, n + 1)
-        assert _inversion_count(ident) == 0
-        assert _inversion_count(ident[::-1].copy()) == math.comb(n, 2)
+        for count in (_radix_inversions, _inversion_count):
+            assert count(ident) == 0
+            assert count(ident[::-1].copy()) == math.comb(n, 2)
+
+
+def with_internal_points(p, rng, count):
+    """``p`` with ``count`` points inserted at random spots in the middle
+    half of the grid, where most of them are records of no kind."""
+    vals = list(p)
+    for _ in range(count):
+        n = len(vals)
+        x = int(rng.integers(n // 4, 3 * n // 4 + 1))
+        y = int(rng.integers(n // 4 + 1, 3 * n // 4 + 2))
+        vals = [v + (v >= y) for v in vals]
+        vals.insert(x, y)
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("count", [1, 3, 40])
+def test_chain_inversions_with_internal_points_inserted(count):
+    rng = np.random.default_rng(count)
+    for n in (100, 300, 900):
+        p = with_internal_points(sample_square_approx(n, rng), rng, count)
+        arr = np.asarray(p, dtype=np.int64)
+        assert (~np.logical_or.reduce(_record_masks(arr))).any()  # chains and interior mix
+        assert _inversion_count(arr) == pair_count(p)
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_chain_inversions_on_sampled_squares(n):
+    arr = np.asarray(sample_square_approx(n, n), dtype=np.int64)
+    assert _inversion_count(arr) == _radix_inversions(arr)
 
 
 # ----------------------------------------------- consecutive occurrences
