@@ -61,7 +61,6 @@ from .local_limits import (
 )
 from .permuton import (
     GridCdf,
-    RectPermuton,
     box_distance_grid,
     grid_cdf,
     lambda_estimate,
@@ -86,7 +85,6 @@ __all__ = [
     "MatchingFailure",
     "PetrovReport",
     "RecordSets",
-    "RectPermuton",
     "RootedPattern",
     "SamplerStats",
     "anchors",

@@ -154,9 +154,12 @@ def _as_value_array(p: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _record_masks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Boolean masks (lrmax, lrmin, rlmax, rlmin) over the positions of a
-    permutation.
+#: Record masks (lrmax, lrmin, rlmax, rlmin) over the positions of a permutation.
+Records = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _record_masks(arr: np.ndarray) -> Records:
+    """The boolean :data:`Records` of a permutation array.
 
     Values are distinct, so no left-to-right maximum lies past the
     largest value and no right-to-left maximum before it (minima
@@ -177,17 +180,13 @@ def _record_masks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return lrmax, lrmin, rlmax, rlmin
 
 
-def _square_records(
-    p: Sequence[int] | np.ndarray,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+def _square_records(p: Sequence[int] | np.ndarray) -> tuple[np.ndarray, Records]:
     """``p`` as an int64 array with its record masks; raises unless square."""
     arr = _as_value_array(p)
     return arr, _records_of_square(arr)
 
 
-def _records_of_square(
-    arr: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _records_of_square(arr: np.ndarray) -> Records:
     """Record masks of an int64 permutation array; raises unless square."""
     masks = _record_masks(arr)
     if not np.logical_or.reduce(masks).all():

@@ -44,7 +44,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from .core import _square_records
+from .core import Records, _square_records
 
 __all__ = [
     "ALL_PETROV_CONDITIONS",
@@ -544,9 +544,7 @@ def passes_petrov(pair: AnchoredPair, conditions: Iterable[int]) -> bool:
     )
 
 
-def _label_masks(
-    arr: np.ndarray, masks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _label_masks(arr: np.ndarray, masks: Records) -> tuple[np.ndarray, np.ndarray, int]:
     """The projection of a square as masks: ``(X == D, Y == L, z0)``.
 
     ``X == D`` is indexed by column and ``Y == L`` by row (value), both

@@ -29,9 +29,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import _records_of_square, _square_records
-from .encoding import AnchoredPair, reconstruct
-from .sampler import replicate_rng, sample_conditioned
+from .core import Records, _square_records
+from .encoding import AnchoredPair
+from .sampler import _sample_square, replicate_rng
 
 __all__ = [
     "AnchorAssumptionError",
@@ -142,9 +142,7 @@ def extract_families(
     return _families_of(*_square_records(p))
 
 
-def _families_of(
-    arr: np.ndarray, masks: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[PointFamily, PointFamily, PointFamily]:
+def _families_of(arr: np.ndarray, masks: Records) -> tuple[PointFamily, PointFamily, PointFamily]:
     """:func:`extract_families` of the int64 permutation ``arr`` with its
     record masks, which the caller has validated."""
     _, lrmin, rlmax, rlmin = masks
@@ -353,6 +351,11 @@ def _check_sample_invariants(
     components: tuple[PointFamily, ...],
 ) -> None:
     n = pair.n
+    # The height split is exact on every square.  The two bounds below
+    # follow from Petrov (5) and (6) on the labels, which an exact draw
+    # meets with high probability only: (5) fails beyond n^0.6 against a
+    # label-walk deviation of sd sqrt(n)/2, about 6 standard deviations
+    # at these sizes (5.9 at n = 5*10^4, 6.3 at 10^5, 8.0 at 10^6).
     bound_x = 4 * float(n) ** 0.6 + 1
     p_dr, p_dl, p_ur = rotated
     x_dr, y_dr, x_dl, y_dl, x_ur, y_ur = components
@@ -380,13 +383,17 @@ def replicate_path_values(
 ) -> np.ndarray:
     """Path values (3, len(times)) of replicate ``k`` under master ``seed``.
 
-    Pure in its arguments, so replicates can run on any executor in any
-    order and still assemble into the same statistics.
+    The replicate is a uniform square with its anchor at ``t_n``, drawn
+    with the stream ``replicate_rng(seed, k)``; the draw hands over its
+    pair and record masks.  Pure in its arguments, so replicates can run
+    on any executor in any order and still assemble into the same
+    statistics.
     """
-    pair, _ = sample_conditioned(n, t_n, replicate_rng(seed, k))
-    # the matching has proved the reconstruction a permutation
-    perm = reconstruct(pair)
-    rotated = rotate_families(pair, _families_of(perm, _records_of_square(perm)))
+    (pair, perm, masks), _ = _sample_square(n, replicate_rng(seed, k), t_n)
+    rotated = rotate_families(pair, _families_of(perm, masks))
+    # about 12 MB at n = 10^6 that need not outlive the families: the
+    # label tables built next set the replicate's peak
+    del perm, masks
     comps = component_families(pair)
     _check_sample_invariants(pair, rotated, comps)
     t_arr = np.asarray(tuple(float(t) for t in times))
@@ -448,9 +455,10 @@ def endpoint_stats(
 ) -> EndpointStats:
     """Monte Carlo endpoint moments of the three paths at anchor ``t_n``.
 
-    Each replicate draws a Petrov-regular pair conditioned on the anchor,
-    reconstructs, extracts and rotates the families, checks the exact
-    integer invariants, and records path values at the requested times.
+    Each replicate draws a uniform square permutation with its anchor at
+    ``t_n`` (the exact round-trip sampler with the anchor fixed), extracts
+    and rotates the families, checks the integer invariants, and records
+    path values at the requested times.
     Replicate k uses the stream ``replicate_rng(seed, k)``, so results do
     not depend on execution order; a generator (or None, fresh entropy)
     supplies the master seed with one draw.  Times must lie in (0, 1].

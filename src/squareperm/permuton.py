@@ -35,7 +35,6 @@ from .core import _as_value_array, as_permutation
 __all__ = [
     "GridCdf",
     "Rect",
-    "RectPermuton",
     "box_distance_grid",
     "grid_cdf",
     "lambda_estimate",
@@ -309,27 +308,3 @@ def lambda_estimate(
     hits = sum(sample_pattern_mu_z(z, len(pi), gen) == pi for _ in range(trials))
     est = hits / trials
     return est, math.sqrt(est * (1.0 - est) / trials)
-
-
-@dataclass(frozen=True)
-class RectPermuton:
-    """The four-segment permuton with corner parameter ``z``."""
-
-    z: float  # corner offset in [0, 1]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.z <= 1.0:
-            raise ValueError("z must lie in [0, 1]")
-
-    def rect_mass(self, r: Rect | Sequence[float]) -> float:
-        return mu_z_rect(self.z, r)
-
-    def sample_point(
-        self, rng: np.random.Generator | int | None = None
-    ) -> tuple[float, float]:
-        return sample_point_mu_z(self.z, rng)
-
-    def sample_pattern(
-        self, k: int, rng: np.random.Generator | int | None = None
-    ) -> tuple[int, ...]:
-        return sample_pattern_mu_z(self.z, k, rng)

@@ -11,10 +11,14 @@ the accepted pairs are exactly the projections of ``Sq(n)``, each once,
 and the draw is exactly uniform on ``Sq(n)`` at every size.
 
 ``sample_good``, ``sample_regular``, ``sample_conditioned`` and
-``sample_square_approx`` run one rejection loop and differ only in what
-they hand it: the anchor law (uniform; uniform, with anchors outside the
+``_sample_square`` run one rejection loop and differ only in what they
+hand it: the anchor law (uniform; uniform, with anchors outside the
 margin rejected; fixed) and the acceptance predicate (none, the Petrov
-screen on both label strings, or the round trip).
+screen on both label strings, or the round trip).  Every experiment
+draws its squares through the round trip: ``sample_square_approx`` with
+a uniform anchor, the fluctuation replicates with the anchor fixed.
+``sample_regular`` and ``sample_conditioned`` name the paper's regular
+pairs.
 
 Generators follow a two-level scheme: ``replicate_rng(master, k)`` derives
 the stream for replicate ``k``, so parallel and serial runs agree
@@ -29,7 +33,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .core import _records_of_square
+from .core import Records, _records_of_square
 from .encoding import (
     DEFAULT_PETROV_CONDITIONS,
     AnchoredPair,
@@ -150,8 +154,10 @@ def _petrov_screen(conditions: Iterable[int]) -> Callable[[AnchoredPair], Anchor
     return lambda pair: pair if passes_petrov(pair, conditions) else None
 
 
-def _square_of(pair: AnchoredPair) -> np.ndarray | None:
-    """The square permutation projecting to ``pair``, or None if there is none.
+def _square_of(pair: AnchoredPair) -> tuple[AnchoredPair, np.ndarray, Records] | None:
+    """``(pair, p, masks)`` for the square permutation ``p`` projecting to
+    ``pair``, with its record masks (lrmax, lrmin, rlmax, rlmin), or None
+    if there is none.
 
     ``project`` is injective and ``reconstruct`` inverts it, so the
     reconstruction is the preimage exactly when it is square and its
@@ -160,15 +166,16 @@ def _square_of(pair: AnchoredPair) -> np.ndarray | None:
     """
     try:
         p = reconstruct(pair)
-        is_min, is_left, z0 = _label_masks(p, _records_of_square(p))
+        masks = _records_of_square(p)
     except ValueError:  # no bijection (MatchingFailure) or not square: no preimage
         return None
+    is_min, is_left, z0 = _label_masks(p, masks)
     same = (
         z0 == pair.z0
         and np.array_equal(is_min, pair.x_is_d)
         and np.array_equal(is_left, pair.y_is_l)
     )
-    return p if same else None
+    return (pair, p, masks) if same else None
 
 
 def sample_good(n: int, rng: np.random.Generator | int | None = None) -> AnchoredPair:
@@ -241,17 +248,32 @@ def sample_conditioned(
 
 
 def _sample_square(
-    n: int, rng: np.random.Generator | int | None = None
-) -> tuple[np.ndarray, SamplerStats]:
-    """:func:`sample_square_approx` with its rejection accounting."""
+    n: int, rng: np.random.Generator | int | None = None, z0: int | None = None
+) -> tuple[tuple[AnchoredPair | None, np.ndarray, Records | None], SamplerStats]:
+    """:func:`sample_square_approx` with its rejection accounting; with
+    ``z0`` given, exactly uniform on the squares whose value 1 sits at
+    column ``z0``.
+
+    Returns ``((pair, p, masks), stats)`` as :func:`_square_of` gives
+    them.  Below size 3 no good pair exists and every permutation is
+    square: an unanchored draw there carries ``p`` alone.
+    """
     if n < 1:
         raise ValueError("square permutations need n >= 1")
-    if n <= 2:  # every permutation of size 1 or 2 is square
-        return np.random.default_rng(rng).permutation(n) + 1, SamplerStats(attempts=1)
+    if z0 is None:
+        if n <= 2:
+            perm = np.random.default_rng(rng).permutation(n) + 1
+            return (None, perm, None), SamplerStats(attempts=1)
+        anchor = f"of size {n}"
+        draw_anchor = lambda gen: int(gen.integers(1, n + 1))
+    elif n >= 3 and 1 <= z0 <= n:
+        anchor = f"of size {n} anchored at {z0}"
+        draw_anchor = lambda gen: z0
+    else:
+        raise ValueError(f"anchored squares need n >= 3 and 1 <= z0 <= n, not n={n}, z0={z0}")
     return _rejection_loop(
-        rng, n, lambda gen: int(gen.integers(1, n + 1)), _square_of, "rejects_roundtrip",
-        DEFAULT_MAX_ATTEMPTS,
-        f"no square permutation of size {n} within {DEFAULT_MAX_ATTEMPTS} attempts",
+        rng, n, draw_anchor, _square_of, "rejects_roundtrip", DEFAULT_MAX_ATTEMPTS,
+        f"no square permutation {anchor} within {DEFAULT_MAX_ATTEMPTS} attempts",
     )
 
 
@@ -266,4 +288,4 @@ def sample_square_approx(
     ``count_square_formula(n) / count_good_pairs(n)``: 0.6 at n = 3,
     about 0.93 at n = 10^3 and tending to 1.
     """
-    return _sample_square(n, rng)[0]
+    return _sample_square(n, rng)[0][1]

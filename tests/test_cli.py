@@ -243,7 +243,8 @@ def test_pattern_stats_keeps_the_exact_complement(capsys):
     )
     body = json.loads(out)
     assert code == 0
-    assert body["complement_exact"] is True
+    # 12 and 21 proportions sum to 1 by construction, so no flag reports it
+    assert "complement_exact" not in body
     assert 0.3 < body["mean"] < 0.7
     # the exact per-sample proportions survive as p/q strings
     assert all("/" in v for v in body["per_sample"])

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from squareperm import (
-    RectPermuton,
     box_distance_grid,
     grid_cdf,
     lambda_estimate,
@@ -153,13 +152,3 @@ def test_pattern_probability_estimates():
     # at z = 1/2 the pattern 12 appears with probability 1/2 by symmetry
     est, se = lambda_estimate((1, 2), 0.5, trials=4000, rng=5)
     assert abs(est - 0.5) < 5 * max(se, 1e-3)
-
-
-def test_rect_permuton_wrapper():
-    mu = RectPermuton(0.3)
-    assert mu.rect_mass((0, 1, 0, 1)) == pytest.approx(1.0)
-    assert len(mu.sample_pattern(5, rng=2)) == 5
-    x, y = mu.sample_point(np.random.default_rng(4))
-    assert 0 <= x <= 1 and 0 <= y <= 1
-    with pytest.raises(ValueError):
-        RectPermuton(-0.1)

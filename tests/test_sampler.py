@@ -22,6 +22,8 @@ from squareperm import (
     sample_regular,
     sample_square_approx,
 )
+from squareperm import sampler
+from squareperm.core import _record_masks
 from squareperm.encoding import (
     ALL_PETROV_CONDITIONS,
     AnchoredPair,
@@ -39,6 +41,11 @@ from squareperm.sampler import (
 )
 
 N = 2048  # smallest power of two with a nonempty anchor margin
+
+
+def assert_records(p, masks):
+    """``masks`` are the record masks of the permutation ``p``."""
+    assert all(np.array_equal(a, b) for a, b in zip(masks, _record_masks(p), strict=True))
 
 
 def test_same_seed_reproduces_the_draw():
@@ -116,8 +123,11 @@ def test_round_trip_predicate_accepts_each_square_once(n):
     total = 0
     for pair in good_pairs(n):
         total += 1
-        p = _square_of(pair)
-        if p is not None:
+        square = _square_of(pair)
+        if square is not None:
+            same, p, masks = square
+            assert same is pair
+            assert_records(p, masks)
             accepted.append(tuple(p.tolist()))
     assert total == count_good_pairs(n)
     assert sorted(accepted) == enumerate_square(n)
@@ -138,7 +148,7 @@ def test_round_trip_predicate_agrees_with_project_on_seeded_pairs():
         got = _square_of(pair)
         assert (got is not None) == want
         if want:
-            assert np.array_equal(got, p)
+            assert np.array_equal(got[1], p)
         rejected += not want
     assert rejected == 17  # 8 matchings fail, 9 reconstructions project elsewhere
 
@@ -173,13 +183,54 @@ def test_tiny_sizes_draw_any_permutation():
 
 def test_square_draws_count_round_trip_rejects():
     for k in range(10):
-        p, stats = _sample_square(6, rng=replicate_rng(19, k))
-        assert is_square(p.tolist())
+        (pair, p, masks), stats = _sample_square(6, rng=replicate_rng(19, k))
+        assert is_square(p.tolist()) and project(p) == pair
+        assert_records(p, masks)
         assert stats.rejects_margin == stats.rejects_petrov == 0
         assert stats.accepts == 1
     # acceptance |Sq(3)| / |good pairs| = 6/10: some seed must reject a pair
     rejects = [_sample_square(3, rng=replicate_rng(19, k))[1].rejects_roundtrip for k in range(20)]
     assert any(rejects)
+
+
+@pytest.mark.parametrize("z0", range(1, 6))
+def test_anchored_square_draw_reaches_every_square_with_its_anchor(z0):
+    # the same round trip with the anchor fixed: uniform on the squares
+    # whose value 1 sits at column z0, so 300 draws reach each of them
+    want = {p for p in enumerate_square(5) if p[z0 - 1] == 1}
+    seen, rejects = set(), 0
+    for k in range(300):
+        (pair, p, masks), stats = _sample_square(5, replicate_rng(23, k), z0)
+        assert pair.z0 == z0 and p[z0 - 1] == 1
+        assert project(p) == pair
+        assert_records(p, masks)
+        assert stats.accepts == 1 and stats.rejects_margin == stats.rejects_petrov == 0
+        seen.add(tuple(p.tolist()))
+        rejects += stats.rejects_roundtrip
+    assert seen == want
+    # 120 of the 224 good pairs of size 5 are no square's projection
+    assert rejects > 0
+
+
+def test_anchored_draw_counts_a_reconstruction_that_is_no_square(monkeypatch):
+    real = sampler.reconstruct
+    calls = []
+
+    def first_not_square(pair):
+        calls.append(pair)
+        # the 3 at column 3 is no record of 2 5 3 1 4
+        return np.array([2, 5, 3, 1, 4]) if len(calls) == 1 else real(pair)
+
+    monkeypatch.setattr(sampler, "reconstruct", first_not_square)
+    (pair, p, _), stats = _sample_square(5, replicate_rng(23, 0), 4)
+    assert stats.rejects_roundtrip >= 1 and len(calls) == stats.rejects_roundtrip + 1
+    assert is_square(p.tolist()) and project(p) == pair and pair.z0 == 4
+
+
+@pytest.mark.parametrize("n, z0", [(2, 1), (5, 0), (5, 6)])
+def test_anchored_draw_refuses_an_impossible_anchor(n, z0):
+    with pytest.raises(ValueError, match="anchored squares need"):
+        _sample_square(n, 1, z0)
 
 
 def test_empty_margin_is_refused_before_drawing():
