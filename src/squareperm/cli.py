@@ -317,6 +317,9 @@ def cmd_permuton_distance(args: argparse.Namespace) -> int:
     n, G, samples = args.size, args.grid, args.samples
     if samples < 1:
         raise ValueError("need at least one sample")
+    # checked before any draw, which can take seconds at large --size
+    if G < 2:
+        raise ValueError("--grid must be at least 2")
     rows = []
     for k in range(samples):
         perm = sample_square_approx(n, replicate_rng(seed, k))

@@ -11,7 +11,11 @@ empirical one, segment clipping for the limit.  :func:`grid_cdf` stores
 every grid-corner value of the empirical CDF as an integer numerator so
 rectangle queries incur no rounding at all, and :func:`box_distance_grid`
 maximizes the discrepancy over grid rectangles (a lower bound on the
-rectangle-sup distance, short by at most ``4/G``).
+rectangle-sup distance, short by at most ``4/G``).  That maximum is a
+branch and bound over blocks of 16 grid rows: envelope bounds for every
+block pair cost O(G^3 / 256), exact row-pair work is spent only on block
+pairs whose bound beats the running best (O(G^3) in the worst case), and
+memory is O(G^2).  The result equals the exhaustive loop's bit for bit.
 
 >>> mu_z_rect(0.5, (0.0, 0.5, 0.0, 0.5))
 0.25
@@ -218,6 +222,46 @@ def _mu_z_grid_cdf(z: float, G: int) -> np.ndarray:
     return total
 
 
+#: grid rows per block of the box-distance branch and bound
+_BOX_BLOCK = 16
+
+
+def _max_row_pair_spread(diff: np.ndarray) -> float:
+    """``max`` over row pairs ``a1 < a2`` of ``max_b - min_b`` of
+    ``diff[a2] - diff[a1]``, as the exhaustive loop computes it in floats.
+
+    The rows are cut into blocks of ``_BOX_BLOCK``; each block's
+    column-wise envelope ``L <= row <= U`` bounds every row pair of a
+    block pair ``alpha <= beta`` by ``max fl(U_beta - L_alpha) -
+    min fl(L_beta - U_alpha)``.  Rounding is monotone, so this is an
+    upper bound on the computed spread of each of those pairs, not just
+    on the real one.  Block pairs are resolved exactly, best bound first,
+    until the next bound cannot beat the running best.  Inside a
+    diagonal block the pairs ``a2 <= a1`` come along: negation is exact,
+    so ``(a2, a1)`` repeats the spread of ``(a1, a2)`` and ``a1 == a2``
+    gives 0.
+    """
+    starts = np.arange(0, diff.shape[0], _BOX_BLOCK)
+    hi = np.maximum.reduceat(diff, starts, axis=0)
+    lo = np.minimum.reduceat(diff, starts, axis=0)
+    # block pairs alpha <= beta, alpha-major, bounded one alpha at a time
+    alphas, betas = np.triu_indices(starts.size)
+    bounds = np.concatenate([
+        (hi[alpha:] - lo[alpha]).max(axis=1) - (lo[alpha:] - hi[alpha]).min(axis=1)
+        for alpha in range(starts.size)
+    ])
+    best = 0.0
+    for i in np.argsort(-bounds):
+        if bounds[i] <= best:
+            break
+        r1 = diff[starts[alphas[i]] : starts[alphas[i]] + _BOX_BLOCK]
+        r2 = diff[starts[betas[i]] : starts[betas[i]] + _BOX_BLOCK]
+        rows = r2[None, :, :] - r1[:, None, :]
+        spread = rows.max(axis=2) - rows.min(axis=2)
+        best = max(best, float(spread.max()))
+    return best
+
+
 def box_distance_grid(p: Sequence[int] | np.ndarray, z: float, G: int) -> float:
     """Largest mass discrepancy over grid rectangles between ``p`` and ``mu^z``.
 
@@ -225,17 +269,16 @@ def box_distance_grid(p: Sequence[int] | np.ndarray, z: float, G: int) -> float:
     the grid moves either measure by at most ``1/G`` per side (uniform
     marginals), so the true sup exceeds this by less than ``4/G``.  Both
     CDF tables are built whole; the sup over ``(a1, a2) x (b1, b2)`` is
-    one vector pass per ``a1``, in O(G^2) memory.
+    a branch and bound over blocks of 16 grid rows: the block-pair bounds
+    take O(G^3 / 256) time, exact work is spent only on block pairs whose
+    bound beats the running best (O(G^3) in the worst case; 1 to 32 of
+    the 153 block pairs at G = 256 on six sampled squares of size
+    10^5), and memory stays O(G^2).
     """
     if G < 2:
         raise ValueError("need at least a 2x2 grid")
     diff = grid_cdf(p, G).table - _mu_z_grid_cdf(z, G)
-    best = 0.0
-    for a1 in range(G):
-        rows = diff[a1 + 1 :] - diff[a1]
-        spread = rows.max(axis=1) - rows.min(axis=1)
-        best = max(best, float(spread.max()))
-    return best
+    return _max_row_pair_spread(diff)
 
 
 def _sample_points(

@@ -281,6 +281,19 @@ def test_local_stats_refuses_a_bad_radius_before_drawing(capsys, monkeypatch, ra
     assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-4"])
+def test_permuton_distance_refuses_a_bad_grid_before_drawing(capsys, monkeypatch, grid):
+    def no_draw(*args, **kwargs):
+        pytest.fail("permuton-distance drew a permutation before checking the grid")
+
+    monkeypatch.setattr(cli, "sample_square_approx", no_draw)
+    code, out, err = run(
+        capsys, "permuton-distance", "--size", "3000000", "--grid", grid, "--samples", "2"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: --grid must be at least 2") and err.count("\n") == 1
+
+
 def test_local_stats_accepts_radius_4(monkeypatch):
     class Drawn(Exception):
         pass

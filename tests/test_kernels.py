@@ -5,12 +5,14 @@ inversion count (the record-chain peel and the radix kernel it hands the
 interior to) against a pair count, consecutive occurrences against
 ``pattern_at`` over every window, the limit CDF table and the grid
 box distance against the scalar ``mu_z_rect`` and explicit maxima over
-grid rectangles, and the block-screened Petrov window check against the
-min/max filter pair alone.  The round-trip kernels (label tables, the
-Petrov check, label matching, record masks, the separating-line test and
-the fluctuation families) are checked against their earlier
-straightforward versions, kept here, and the report writer's integer
-kernel against ``str.join`` over ``str`` of every value.
+grid rectangles (and its row-block branch and bound against the
+exhaustive per-row loop, kept here), and the block-screened Petrov
+window check against the min/max filter pair alone.  The round-trip
+kernels (label tables, the Petrov check, label matching, record masks,
+the separating-line test and the fluctuation families) are checked
+against their earlier straightforward versions, kept here, and the
+report writer's integer kernel against ``str.join`` over ``str`` of
+every value.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from squareperm.fluctuations import (
     rotate_families,
 )
 from squareperm.local_limits import separating_failure_rate, separating_line_exists
-from squareperm.permuton import _mu_z_grid_cdf
+from squareperm.permuton import _max_row_pair_spread, _mu_z_grid_cdf
 
 
 def random_perm(n: int, seed: int) -> tuple[int, ...]:
@@ -265,6 +267,65 @@ def test_box_distance_is_the_max_over_grid_rectangles(G):
         got = box_distance_grid(p, z, G)
         assert got == corners
         assert got == pytest.approx(direct, abs=1e-12)
+
+
+def old_max_row_pair_spread(diff):
+    """The exhaustive loop over the first grid row ``a1``."""
+    best = 0.0
+    for a1 in range(diff.shape[0] - 1):
+        rows = diff[a1 + 1 :] - diff[a1]
+        spread = rows.max(axis=1) - rows.min(axis=1)
+        best = max(best, float(spread.max()))
+    return best
+
+
+@pytest.fixture(scope="module")
+def box_hosts():
+    hosts = [
+        sample_square_approx(n, np.random.default_rng((n, seed)))
+        for n in (10**3, 10**4, 10**5)
+        for seed in range(3)
+    ]
+    hosts += [np.asarray(random_perm(n, 500 + n)) for n in (300, 5000)]
+    hosts += [np.arange(1, 2001), np.arange(2001, 0, -1)]
+    return hosts
+
+
+# G + 1 grid rows in blocks of 16: the last block is short for every G
+# here but 63
+@pytest.mark.parametrize("G", [16, 17, 63, 64, 65, 256])
+def test_box_distance_matches_the_exhaustive_loop(box_hosts, G):
+    for p in box_hosts:
+        own_z = (int(np.flatnonzero(p == 1)[0]) + 1) / p.size
+        for z in (0.0, 0.3, 0.5, 1.0, own_z):
+            diff = grid_cdf(p, G).table - _mu_z_grid_cdf(z, G)
+            assert box_distance_grid(p, z, G) == old_max_row_pair_spread(diff)
+
+
+def adversarial_tables():
+    rng = np.random.default_rng(2024)
+    tables = {"zeros": np.zeros((65, 65))}
+    for rows in (17, 18, 64, 65, 257):
+        tables[f"noise-{rows}"] = rng.random((rows, rows))
+        tables[f"cumsum-{rows}"] = rng.standard_normal((rows, rows)).cumsum(0).cumsum(1)
+    # every large spread pairs row 64, alone in the short last block, with
+    # another row
+    spike = rng.random((65, 65)) * 1e-3
+    spike[64, 7], spike[64, 40] = 5.0, -5.0
+    tables["last-block"] = spike
+    return tables
+
+
+@pytest.mark.parametrize("name", sorted(adversarial_tables()))
+def test_row_pair_spread_matches_the_exhaustive_loop_on_adversarial_tables(name):
+    diff = adversarial_tables()[name]
+    got = _max_row_pair_spread(diff)
+    assert type(got) is float
+    assert got == old_max_row_pair_spread(diff)
+    if name == "zeros":
+        assert got == 0.0
+    if name == "last-block":
+        assert got > 9.0 and old_max_row_pair_spread(diff[:-1]) < 0.01
 
 
 # ------------------------------------------------------- Petrov screen
