@@ -393,9 +393,12 @@ def cmd_local_stats(args: argparse.Namespace) -> int:
     if args.roots == "all":
         roots = "all"
     else:
-        roots = int(args.roots)
+        try:
+            roots = int(args.roots)
+        except ValueError:
+            roots = 0
         if roots < 1:
-            raise ValueError("root count must be positive")
+            raise ValueError(f"--roots takes 'all' or a positive integer, not {args.roots!r}")
     size = 2 * h + 1
     # the limit table lists every pattern of the window size; checked
     # before any draw
@@ -406,6 +409,8 @@ def cmd_local_stats(args: argparse.Namespace) -> int:
             f"--radius {h} needs a limit table over {size}! = {math.factorial(size)} "
             f"patterns, over the bound {DEFAULT_WORK_BOUND}; use a smaller --radius"
         )
+    if n < size:
+        raise ValueError(f"--size must be at least 2 * --radius + 1 = {size}")
     totals: dict[tuple[int, ...], float] = {}
     windows_per_perm = (n - 2 * h) if roots == "all" else roots
     for k in range(count):

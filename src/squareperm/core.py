@@ -139,10 +139,18 @@ def pattern_at(p: Sequence[int], positions: Iterable[int]) -> Perm:
 
 
 def _as_value_array(p: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Validate ``p`` as a permutation of 1..n and return it as int64."""
-    arr = np.asarray(p, dtype=np.int64)
+    """Validate ``p`` as a permutation of 1..n and return it as int64.
+
+    Only integer input passes: a cast to int64 would truncate floats and
+    parse strings, so float, bool and string values are refused.
+    """
+    arr = np.asarray(p)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("permutation must be a nonempty 1-d sequence")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"not a permutation of 1..{arr.size}")
+    # a no-op on int64; a uint64 beyond the int64 range wraps negative
+    arr = arr.astype(np.int64, copy=False)
     # the range check first: bincount refuses negative values and would
     # allocate one counter per value up to the largest
     if (

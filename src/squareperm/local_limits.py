@@ -433,6 +433,11 @@ def sample_limit_window(
     return build_psi(j, d_set, h)
 
 
+#: window codes stay below this bound, so they fit the int64 of
+#: ``np.unique``'s inverse
+_CODE_LIMIT = 2**63
+
+
 def empirical_window_distribution(
     p: Sequence[int] | np.ndarray,
     h: int,
@@ -449,8 +454,14 @@ def empirical_window_distribution(
 
     Each window's pattern is its rank vector: entry ``j`` ranks one above
     the number of window entries below it, summed over the ``w(w-1)/2``
-    comparisons of shifted columns.  A lexsort of the rank vectors and a
-    run-length count of equal rows give the frequencies.
+    comparisons of shifted columns.  The ranks minus one are the digits
+    of one integer code per window, in base ``w`` and most significant
+    first, so codes sort as rank vectors sort lexicographically.  The
+    codes are counted with ``np.bincount`` while the ``w^w`` possible
+    codes are no more than the windows, and with ``np.unique`` otherwise
+    (a sort); each distinct pattern is read off one representative
+    window.  Where the next digit would overflow int64 (``w >= 17``), the
+    codes so far are replaced by their order-keeping dense ranks.
     """
     arr = _as_value_array(p)
     if h < 0:
@@ -468,19 +479,32 @@ def empirical_window_distribution(
         gen = np.random.default_rng(rng)
         chosen = windows[gen.integers(0, windows.shape[0], size=count)]
     total = chosen.shape[0]
-    # ranks lie in 1..w; the narrowest dtype lets lexsort use radix sort
-    ranks = np.ones((w, total), dtype=np.min_scalar_type(w))
+    # digits[j] counts the window entries below entry j: its rank minus one
+    digits = np.zeros((w, total), dtype=np.min_scalar_type(w))
     for i, j in itertools.combinations(range(w), 2):
         below = chosen[:, i] < chosen[:, j]
-        ranks[j] += below
-        ranks[i] += ~below
-    ranks = ranks[:, np.lexsort(ranks[::-1])]
-    new = np.empty(total, dtype=bool)
-    new[0] = True
-    np.any(ranks[:, 1:] != ranks[:, :-1], axis=0, out=new[1:])
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=total)
+        digits[j] += below
+        digits[i] += ~below
+    # the codes of the digits folded so far lie below `space`
+    codes = digits[0].astype(np.min_scalar_type(min(w**w, _CODE_LIMIT) - 1))
+    space = w
+    for row in digits[1:]:
+        if space * w > _CODE_LIMIT:
+            uniq, codes = np.unique(codes, return_inverse=True)
+            space = uniq.size
+        codes *= w
+        codes += row
+        space *= w
+    if space > total:
+        _, codes, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    else:
+        counts = np.bincount(codes, minlength=space)
+    # any window of a group shows its pattern
+    rep = np.empty(counts.size, dtype=np.intp)
+    rep[codes] = np.arange(total)
+    present = np.flatnonzero(counts)
+    patterns = digits[:, rep[present]] + 1
     return {
         RootedPattern(tuple(row), h + 1): c / total
-        for row, c in zip(ranks[:, starts].T.tolist(), counts)
+        for row, c in zip(patterns.T.tolist(), counts[present])
     }

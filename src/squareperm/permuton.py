@@ -162,32 +162,40 @@ def grid_cdf(p: Sequence[int] | np.ndarray, G: int) -> GridCdf:
     Runs in O(n + G^2): grid corners classify each cell as fully inside,
     fully outside, or the single partial column (row), so the bulk is a
     dominance count computed by a 2D histogram prefix sum and the two
-    partial strips are rank-one corrections.
+    partial strips are rank-one corrections.  The cells fully left of
+    the line ``a/G`` are the first ``k[a] = a*n // G``, so the smallest
+    corner covering a cell is a step function of its position (or value)
+    with no division, and the partial rows are found at the ``G + 1``
+    cut values only.
     """
     arr = _as_value_array(p)
     n = arr.size
     if G < 1:
         raise ValueError("grid resolution must be positive")
-    pos = np.arange(1, n + 1, dtype=np.int64)
-    vals = arr.astype(np.int64)
-    # smallest corner index covering the cell entirely
-    a_min = (pos * G + n - 1) // n
-    b_min = (vals * G + n - 1) // n
-    hist = np.bincount(a_min * (G + 1) + b_min, minlength=(G + 1) ** 2)
-    dom = hist.reshape(G + 1, G + 1).cumsum(axis=0).cumsum(axis=1)
-
     grid = np.arange(G + 1, dtype=np.int64)
     k = grid * n // G  # cells fully covered at each corner
     u_star = grid * n - k * G  # width of the single partial cell, in 1/(nG)
 
+    # step[v]: smallest corner index covering cell v (1..n) entirely;
+    # step[0] is padding, so values index it directly
+    step = np.repeat(grid, np.diff(k, prepend=-1))
+    b_min = step[arr]
+    hist = np.bincount(step[1:] * (G + 1) + b_min, minlength=(G + 1) ** 2)
+    dom = hist.reshape(G + 1, G + 1).cumsum(axis=0).cumsum(axis=1)
+
+    # the cell (value k + 1) cut by each line; where k == n the partial
+    # width is 0 and any cell serves
+    cut = np.minimum(k, n - 1)
     # column partially cut by the vertical line a/G, and its value
-    col_val = vals[np.minimum(k, n - 1)]  # only used where k < n, u_star > 0
-    col_thresh = (col_val * G + n - 1) // n
+    col_val = arr[cut]
+    col_thresh = step[col_val]
     # row partially cut by the horizontal line b/G, and its position
-    inv = np.empty(n, dtype=np.int64)
-    inv[vals - 1] = pos
-    row_pos = inv[np.minimum(k, n - 1)]
-    row_thresh = (row_pos * G + n - 1) // n
+    wanted = np.zeros(n + 1, dtype=bool)
+    wanted[cut + 1] = True
+    found = np.flatnonzero(wanted[arr])
+    row_of = np.zeros(n + 1, dtype=np.int64)
+    row_of[arr[found]] = found + 1
+    row_thresh = step[row_of[cut + 1]]
 
     numer = G * G * dom
     numer += (G * u_star)[:, None] * (grid[None, :] >= col_thresh[:, None])
@@ -211,14 +219,21 @@ def _mu_z_grid_cdf(z: float, G: int) -> np.ndarray:
         raise ValueError("z must lie in [0, 1]")
     edge = np.arange(G + 1) / G  # a/G down axis 0, b/G along axis 1
     total = np.zeros((G + 1, G + 1))
+    # full-table scratch, reused by every segment
+    hi = np.empty_like(total)
+    inside = np.empty(total.shape, dtype=bool)
     for x_lo, x_hi, c0, s in _segments(z):
         if s > 0:
             y_lo, y_hi = 0.0 - c0, edge - c0
         else:
             y_lo, y_hi = c0 - edge, c0 - 0.0
         lo = np.maximum(max(x_lo, 0.0), y_lo)
-        hi = np.minimum(np.minimum(x_hi, edge)[:, None], y_hi)
-        total += np.where(hi > lo, (hi - lo) / 2.0, 0.0)
+        np.minimum(np.minimum(x_hi, edge)[:, None], y_hi, out=hi)
+        np.greater(hi, lo, out=inside)
+        np.subtract(hi, lo, out=hi)
+        np.divide(hi, 2.0, out=hi)
+        # adding 0.0 elsewhere would leave ``total``, never -0.0, as it is
+        np.add(total, hi, out=total, where=inside)
     return total
 
 

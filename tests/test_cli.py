@@ -281,6 +281,38 @@ def test_local_stats_refuses_a_bad_radius_before_drawing(capsys, monkeypatch, ra
     assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("roots", ["2.5", "0", "-3", "ten", ""])
+def test_local_stats_refuses_a_bad_root_count_before_drawing(capsys, monkeypatch, roots):
+    def no_draw(*args, **kwargs):
+        pytest.fail("local-stats drew a permutation before checking --roots")
+
+    monkeypatch.setattr(cli, "sample_square_approx", no_draw)
+    code, out, err = run(capsys, "local-stats", "--size", str(SIZE), "--roots", roots)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --roots takes 'all' or a positive integer")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size, radius", [("4", "2"), ("6", "3"), ("2", "1"), ("0", "1")])
+def test_local_stats_refuses_a_size_below_the_window_before_drawing(
+    capsys, monkeypatch, size, radius
+):
+    def no_draw(*args, **kwargs):
+        pytest.fail("local-stats drew a permutation before checking --size")
+
+    monkeypatch.setattr(cli, "sample_square_approx", no_draw)
+    code, out, err = run(capsys, "local-stats", "--size", size, "--radius", radius)
+    assert code == 1 and out == ""
+    window = 2 * int(radius) + 1
+    assert err == f"error: --size must be at least 2 * --radius + 1 = {window}\n"
+
+
+def test_local_stats_runs_at_the_window_size(capsys):
+    code, out, err = run(capsys, "local-stats", "--size", "5", "--radius", "2", "--seed", "3")
+    assert code == 0 and err == ""
+    assert json.loads(out)["windows"] == 1
+
+
 @pytest.mark.parametrize("grid", ["1", "0", "-4"])
 def test_permuton_distance_refuses_a_bad_grid_before_drawing(capsys, monkeypatch, grid):
     def no_draw(*args, **kwargs):

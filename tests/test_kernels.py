@@ -1,9 +1,11 @@
 """The vectorized estimator kernels against brute-force oracles.
 
-Window counting is checked against ``restrict`` at every root, the k = 2
+Window counting is checked against ``restrict`` at every root (and its
+integer window codes against the lexsort kernel, kept here), the k = 2
 inversion count (the record-chain peel and the radix kernel it hands the
 interior to) against a pair count, consecutive occurrences against
-``pattern_at`` over every window, the limit CDF table and the grid
+``pattern_at`` over every window, the empirical grid CDF against its
+two-division version (kept here), the limit CDF table and the grid
 box distance against the scalar ``mu_z_rect`` and explicit maxima over
 grid rectangles (and its row-block branch and bound against the
 exhaustive per-row loop, kept here), and the block-screened Petrov
@@ -132,6 +134,92 @@ def test_radius_zero_has_one_window_pattern():
     )
 
 
+def old_window_distribution(p, h, roots="all", rng=None):
+    """The lexsort kernel: rank rows sorted by a lexsort, then a run-length
+    count of equal rows."""
+    arr = np.asarray(p, dtype=np.int64)
+    w = 2 * h + 1
+    windows = np.lib.stride_tricks.sliding_window_view(arr, w)
+    if roots == "all":
+        chosen = windows
+    else:
+        gen = np.random.default_rng(rng)
+        chosen = windows[gen.integers(0, windows.shape[0], size=int(roots))]
+    total = chosen.shape[0]
+    ranks = np.ones((w, total), dtype=np.min_scalar_type(w))
+    for i, j in itertools.combinations(range(w), 2):
+        below = chosen[:, i] < chosen[:, j]
+        ranks[j] += below
+        ranks[i] += ~below
+    ranks = ranks[:, np.lexsort(ranks[::-1])]
+    new = np.empty(total, dtype=bool)
+    new[0] = True
+    np.any(ranks[:, 1:] != ranks[:, :-1], axis=0, out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=total)
+    return {
+        RootedPattern(tuple(row), h + 1): c / total
+        for row, c in zip(ranks[:, starts].T.tolist(), counts)
+    }
+
+
+# w = 17, 25 and 41: the codes are re-ranked once, twice and three times
+# before the last digit; at n = 60, h = 20 there are 20 windows
+@pytest.mark.parametrize("n, h", [(300, 8), (400, 12), (60, 20)])
+@pytest.mark.parametrize("roots", ["all", 37])
+def test_windows_past_the_int64_code_match_restrict(n, h, roots):
+    for seed in range(3):
+        p = random_perm(n, 40 + seed)
+        if roots == "all":
+            centres = range(h + 1, n - h + 1)
+        else:
+            starts = np.random.default_rng(seed).integers(0, n - 2 * h, size=roots)
+            centres = [int(s) + h + 1 for s in starts]
+        want = expected_windows(p, h, centres)
+        assert_same_law(empirical_window_distribution(p, h, roots, rng=seed), want)
+
+
+@pytest.mark.parametrize("h", [8, 12])
+def test_windows_past_the_int64_code_on_monotone_runs(h):
+    # one pattern (or two) fills the whole code space bincount would take
+    n = 3 * (2 * h + 1)
+    for p in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
+        want = expected_windows(p, h, range(h + 1, n - h + 1))
+        assert_same_law(empirical_window_distribution(p, h), want)
+    p = tuple(range(1, n + 1))[: n // 2] + tuple(range(n, n // 2, -1))
+    want = expected_windows(p, h, range(h + 1, n - h + 1))
+    assert_same_law(empirical_window_distribution(p, h), want)
+
+
+@pytest.mark.parametrize("roots", ["all", 1, 37])
+def test_radius_zero_is_one_pattern_for_every_root_choice(roots):
+    for p in (random_perm(9, 5), (1,), np.arange(1, 50)):
+        got = empirical_window_distribution(p, 0, roots, rng=2)
+        assert_same_law(got, {RootedPattern((1,), 1): np.float64(1.0)})
+
+
+@pytest.fixture(scope="module")
+def window_host():
+    return sample_square_approx(10**5, np.random.default_rng(2024))
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_windows_match_the_lexsort_kernel_on_a_square(window_host, h):
+    p = window_host
+    assert_same_law(empirical_window_distribution(p, h), old_window_distribution(p, h))
+    assert_same_law(
+        empirical_window_distribution(p, h, 5000, rng=9),
+        old_window_distribution(p, h, 5000, rng=9),
+    )
+
+
+@pytest.mark.parametrize("h", [3, 4, 7])
+def test_windows_match_the_lexsort_kernel_where_codes_outnumber_windows(h):
+    # w^w exceeds the window count, so the codes are counted by np.unique
+    for p in (sample_square_approx(3000, 3), random_perm(3000, 3)):
+        assert_same_law(empirical_window_distribution(p, h), old_window_distribution(p, h))
+
+
 # ---------------------------------------------------------- inversions
 
 
@@ -230,6 +318,65 @@ def test_limit_table_equals_the_scalar_measure(z, G):
     for a in range(G + 1):
         for b in range(G + 1):
             assert table[a, b] == mu_z_rect(z, (0.0, a / G, 0.0, b / G))
+
+
+def test_limit_table_has_the_bits_of_the_scalar_measure():
+    # == would let -0.0 stand for 0.0; the bits would not
+    for G in (3, 64, 256):
+        for z in ((0.0, 0.3, 1.0) if G == 256 else (0.0, 1e-300, 0.3, 0.5, 0.77, 1.0)):
+            table = _mu_z_grid_cdf(z, G)
+            scalar = np.array(
+                [[mu_z_rect(z, (0.0, a / G, 0.0, b / G)) for b in range(G + 1)]
+                 for a in range(G + 1)]
+            )
+            assert np.array_equal(table.view(np.uint64), scalar.view(np.uint64))
+
+
+def old_grid_cdf(p, G):
+    """The two-division grid CDF with its full inverse-permutation scatter."""
+    vals = np.asarray(p, dtype=np.int64)
+    n = vals.size
+    pos = np.arange(1, n + 1, dtype=np.int64)
+    a_min = (pos * G + n - 1) // n
+    b_min = (vals * G + n - 1) // n
+    hist = np.bincount(a_min * (G + 1) + b_min, minlength=(G + 1) ** 2)
+    dom = hist.reshape(G + 1, G + 1).cumsum(axis=0).cumsum(axis=1)
+    grid = np.arange(G + 1, dtype=np.int64)
+    k = grid * n // G
+    u_star = grid * n - k * G
+    col_val = vals[np.minimum(k, n - 1)]
+    col_thresh = (col_val * G + n - 1) // n
+    inv = np.empty(n, dtype=np.int64)
+    inv[vals - 1] = pos
+    row_pos = inv[np.minimum(k, n - 1)]
+    row_thresh = (row_pos * G + n - 1) // n
+    numer = G * G * dom
+    numer += (G * u_star)[:, None] * (grid[None, :] >= col_thresh[:, None])
+    numer += (G * u_star)[None, :] * (grid[:, None] >= row_thresh[None, :])
+    numer += u_star[:, None] * u_star[None, :] * (k[None, :] == (col_val - 1)[:, None])
+    return numer, n * G * G
+
+
+@pytest.fixture(scope="module")
+def grid_hosts():
+    hosts = [
+        sample_square_approx(n, np.random.default_rng((n, 7)))
+        for n in (1, 2, 3, 5, 64, 65, 1000, 10**5)
+    ]
+    hosts += [np.asarray(random_perm(n, 900 + n)) for n in (1, 2, 7, 63, 256, 257, 5000)]
+    hosts += [np.arange(1, 101), np.arange(101, 0, -1)]
+    return hosts
+
+
+# n < G for the small hosts: several corners share a cell, and some
+# corners cut none
+@pytest.mark.parametrize("G", [1, 2, 3, 64, 65, 256])
+def test_grid_cdf_matches_the_division_kernel(grid_hosts, G):
+    for p in grid_hosts:
+        got = grid_cdf(p, G)
+        numer, denom = old_grid_cdf(p, G)
+        assert got.numer.dtype == np.int64 and got.denom == denom
+        assert np.array_equal(got.numer, numer)
 
 
 def grid_rectangles(G):
@@ -1043,6 +1190,44 @@ def test_windows_reject_short_permutations_bad_radii_and_root_counts():
             empirical_window_distribution(random_perm(9, 0), 1, roots=roots, rng=1)
     with pytest.raises(ValueError, match="not a permutation"):
         empirical_window_distribution((1, 2, 2, 4), 1)
+
+
+NON_INTEGER_HOSTS = [
+    [2.9, 1.2, 3.0],
+    np.array([1.9, 2.2, 3.7]),
+    [1, 2.0, 3],
+    ["1", "2", "3"],
+    np.array(["2", "1", "3"]),
+    [True],
+    np.array([True, False, True]),
+]
+
+
+@pytest.mark.parametrize("host", NON_INTEGER_HOSTS, ids=repr)
+def test_measures_refuse_non_integer_hosts(host):
+    with pytest.raises(ValueError, match="not a permutation of 1..[0-9]+$"):
+        _as_value_array(host)
+    with pytest.raises(ValueError, match="not a permutation"):
+        occ_proportion((1,), host)
+    with pytest.raises(ValueError, match="not a permutation"):
+        empirical_window_distribution(host, 0)
+    with pytest.raises(ValueError, match="not a permutation"):
+        grid_cdf(host, 4)
+    with pytest.raises(ValueError, match="not a permutation"):
+        box_distance_grid(host, 0.5, 4)
+
+
+def test_integer_hosts_of_any_width_are_accepted():
+    want = occ_proportion((1, 2), (2, 4, 1, 3))
+    hosts = [(2, 4, 1, 3), [2, 4, 1, 3], [np.int32(v) for v in (2, 4, 1, 3)]]
+    hosts += [np.array([2, 4, 1, 3], dtype=t) for t in (np.int8, np.uint16, np.int32, np.uint64)]
+    for host in hosts:
+        assert occ_proportion((1, 2), host) == want
+        assert _as_value_array(host).dtype == np.int64
+    arr = np.array([2, 4, 1, 3], dtype=np.int64)
+    assert _as_value_array(arr) is arr  # no copy
+    with pytest.raises(ValueError, match="not a permutation"):
+        _as_value_array(np.array([2**64 - 1, 1], dtype=np.uint64))
 
 
 @pytest.mark.parametrize("measure", [occ_proportion, coc_proportion])
