@@ -5,8 +5,10 @@ master ``--seed``: a report embeds the full resolved configuration, and
 rerunning with that configuration reproduces the report byte for byte.
 JSON reports carry a schema-version field, floats are printed to 12
 significant digits, exact rationals as ``p/q``.
-``--output`` redirects the payload; logs and errors go to stderr, and the
-exit status is 0 only when everything the subcommand asserted holds.
+The payload is written as it is built, to stdout or to the ``--output``
+file, which is either complete or absent; logs and errors go to stderr,
+and the exit status is 0 only when everything the subcommand asserted
+holds.
 
 Environment variables ``SQUAREPERM_SEED`` and ``SQUAREPERM_THREADS``
 supply defaults for ``--seed`` and ``--threads``; explicit flags win.
@@ -20,13 +22,13 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,7 +112,7 @@ def _jsonable(obj: Any) -> Any:
     """Normalize a report tree: 12-significant-digit floats, p/q rationals.
 
     1-d integer arrays pass through unchanged; :func:`_dumps` writes them
-    in bulk.
+    chunk by chunk.
     """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -131,77 +133,124 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _emit(text: str, args: argparse.Namespace) -> None:
+#: Array values per chunk of :func:`_join_ints`: its digit buffer holds
+#: ``(sign + width + len(sep)) * _CHUNK`` bytes, well inside a core's cache.
+_CHUNK = 1 << 15
+
+
+def _emit(chunks: Iterable[str], args: argparse.Namespace) -> None:
+    """Write a payload's chunks, as they come, to stdout or the ``--output`` file.
+
+    A regular ``--output`` file that fails partway is removed, so it is
+    either complete or absent.  A stdout whose reader has gone is pointed
+    at the null device before the error propagates, so the flush at exit
+    raises nothing more.
+    """
     out = getattr(args, "output", None)
     if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
+        return
+    regular = False
+    try:
+        with open(out, "w", encoding="utf-8") as f:
+            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+            f.writelines(chunks)
+    except BaseException:
+        if regular:
+            os.unlink(out)
+        raise
 
 
-def _join_ints(arr: np.ndarray, sep: str) -> str:
-    """``sep.join(map(str, arr.tolist()))`` for a 1-d integer array, in numpy passes.
+def _join_ints(arr: np.ndarray, sep: str) -> Iterator[str]:
+    """``sep.join(map(str, arr.tolist()))`` for a 1-d integer array, in chunks.
 
-    Each value gets one column of a ``(sign + width + len(sep), n)`` byte
-    buffer: an optional sign row, the decimal digits of its magnitude from
-    divisions by 10, then the separator, which must be ASCII without NUL.
-    Absent signs, leading zeros and the separator after the last value
-    are NUL.  One transpose lays the columns end to end, and deleting the
-    NULs in one ``bytes.translate`` pass leaves the text; ``replace``
-    would copy once per NUL, and nearly every value has one.  Magnitudes
-    are uint32 when every value is in ``[0, 2^32)`` and uint64 otherwise,
-    which holds the magnitude of the minimum of int64 exactly.
+    Each chunk covers :data:`_CHUNK` values, and all chunks are laid out
+    in one reused ``(sign + width + len(sep), _CHUNK)`` byte buffer: each
+    value gets one column, with an optional sign row, the decimal digits
+    of its magnitude from divisions by 10, then the separator, which must
+    be ASCII without NUL.  Absent signs, leading zeros and the separator
+    after the last value are NUL.  One transpose lays a chunk's columns
+    end to end, and deleting the NULs in one ``bytes.translate`` pass
+    leaves its text; ``replace`` would copy once per NUL, and nearly every
+    value has one.  Magnitudes are uint32 when every value is in
+    ``[0, 2^32)`` and uint64 otherwise, which holds the magnitude of the
+    minimum of int64 exactly.  Nothing of the array's full size is
+    allocated.
     """
-    if arr.size == 0:
-        return ""
+    n = arr.size
+    if n == 0:
+        return
     lo, hi = int(arr.min()), int(arr.max())
     top = max(hi, -lo)
     width = len(str(top))
     lead = int(lo < 0)
-    mag = arr.astype(np.uint64 if lead or top >= 2**32 else np.uint32)
+    dtype = np.uint64 if lead or top >= 2**32 else np.uint32
     sep_row = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
-    buf = np.empty((lead + width + sep_row.size, arr.size), dtype=np.uint8)
-    if lead:
-        neg = arr < 0
-        # a negative value cast to uint64 is 2^64 - |v|; negation undoes it
-        np.negative(mag, out=mag, where=neg)
-        np.multiply(neg, ord("-"), out=buf[0], dtype=np.uint8)
-    rest = mag
-    for k in range(width):
-        row = buf[lead + width - 1 - k]
-        quot = rest // 10
-        np.subtract(rest, quot * 10, out=row, casting="unsafe")
-        row += ord("0")
-        if k:  # a leading zero, once nothing is left, becomes NUL
-            row *= rest != 0
-        rest = quot
+    buf = np.empty((lead + width + sep_row.size, min(n, _CHUNK)), dtype=np.uint8)
     buf[lead + width :] = sep_row[:, None]
-    buf[lead + width :, -1] = 0
-    return buf.T.tobytes().translate(None, b"\x00").decode("ascii")
+    for start in range(0, n, _CHUNK):
+        part = arr[start : start + _CHUNK]
+        chunk = buf[:, : part.size]
+        rest = part.astype(dtype)
+        if lead:
+            neg = part < 0
+            # a negative value cast to uint64 is 2^64 - |v|; negation undoes it
+            np.negative(rest, out=rest, where=neg)
+            np.multiply(neg, ord("-"), out=chunk[0], dtype=np.uint8)
+        for k in range(width):
+            row = chunk[lead + width - 1 - k]
+            quot = rest // 10
+            np.subtract(rest, quot * 10, out=row, casting="unsafe")
+            row += ord("0")
+            if k:  # a leading zero, once nothing is left, becomes NUL
+                row *= rest != 0
+            rest = quot
+        if start + part.size == n:
+            chunk[lead + width :, -1] = 0
+        yield chunk.T.tobytes().translate(None, b"\x00").decode("ascii")
 
 
-def _dumps(obj: Any, level: int = 0) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` of a normalized tree.
+def _dumps(obj: Any, level: int = 0) -> Iterator[str]:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a normalized tree, in chunks.
 
     The standard encoder falls back to its pure-Python path whenever it
     indents, one generator step per value; here a 1-d integer array is
-    written by :func:`_join_ints`, and every scalar and key still goes
-    through ``json.dumps``.
+    yielded by :func:`_join_ints` chunk by chunk, and every scalar and key
+    still goes through ``json.dumps``.  The text around the arrays is
+    yielded as it is made, each key with its scalar value as one chunk.
     """
     if not isinstance(obj, (dict, list, np.ndarray)):
-        return json.dumps(obj)
+        yield json.dumps(obj)
+        return
     brackets = "{}" if isinstance(obj, dict) else "[]"
     if not len(obj):
-        return brackets
+        yield brackets
+        return
     pad = "\n" + "  " * (level + 1)
     sep = "," + pad
+    yield brackets[0] + pad
     if isinstance(obj, np.ndarray):
-        body = _join_ints(obj, sep)
-    elif isinstance(obj, dict):
-        body = sep.join(f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
+        yield from _join_ints(obj, sep)
     else:
-        body = sep.join(_dumps(v, level + 1) for v in obj)
-    return f"{brackets[0]}{pad}{body}\n{'  ' * level}{brackets[1]}"
+        if isinstance(obj, dict):
+            items = ((f"{json.dumps(k)}: ", obj[k]) for k in sorted(obj))
+        else:
+            items = (("", v) for v in obj)
+        for i, (key, v) in enumerate(items):
+            head = f"{sep if i else ''}{key}"
+            if isinstance(v, (dict, list, np.ndarray)):
+                yield head
+                yield from _dumps(v, level + 1)
+            else:  # a scalar joins its key, one chunk per entry
+                yield head + json.dumps(v)
+    yield f"\n{'  ' * level}{brackets[1]}"
 
 
 def _config(args: argparse.Namespace, **resolved: Any) -> dict[str, Any]:
@@ -215,10 +264,11 @@ def _config(args: argparse.Namespace, **resolved: Any) -> dict[str, Any]:
     return {k: v for k, v in config.items() if v is not None}
 
 
-def _report(config: dict[str, Any], body: dict[str, Any]) -> str:
+def _report(config: dict[str, Any], body: dict[str, Any]) -> Iterator[str]:
     doc = {"schema": SCHEMA, "version": __version__, "config": _jsonable(config)}
     doc.update(_jsonable(body))
-    return _dumps(doc) + "\n"
+    yield from _dumps(doc)
+    yield "\n"
 
 
 def _parse_perm(text: str) -> tuple[int, ...]:
@@ -237,7 +287,14 @@ def _perm_key(pi: Sequence[int]) -> str:
 
 
 def _perm_line(p: Sequence[int] | np.ndarray) -> str:
-    return _join_ints(np.asarray(p), " ")
+    return "".join(_join_ints(np.asarray(p), " "))
+
+
+def _plain_lines(perms: Iterable[np.ndarray]) -> Iterator[str]:
+    """The plain payload of permutations: one space-separated line each."""
+    for p in perms:
+        yield from _join_ints(p, " ")
+        yield "\n"
 
 
 # ---------------------------------------------------------------- sample
@@ -258,7 +315,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         # permutation's size: not kept through the next draw or the report
         del square
     if args.format == "plain":
-        _emit("".join(_perm_line(p) + "\n" for p in perms), args)
+        _emit(_plain_lines(perms), args)
         return 0
     body = {"permutations": perms, "attempts": attempts}
     _emit(_report(_config(args, seed=seed), body), args)
@@ -277,7 +334,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     match = (formula == exhaustive) if (formula is not None and exhaustive is not None) else None
     value = formula if formula is not None else exhaustive
     if args.format == "plain":
-        _emit(f"{value}\n", args)
+        _emit((f"{value}\n",), args)
         return 0 if match is not False else 1
     body = {"n": n, "formula": formula, "exhaustive": exhaustive, "match": match}
     _emit(_report(_config(args), body), args)
@@ -291,7 +348,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     p = _parse_perm(args.perm)
     pair = project(p)
     if args.format == "plain":
-        _emit(pair.to_text(), args)
+        _emit((pair.to_text(),), args)
         return 0
     _emit(_report(_config(args, perm=_perm_line(p)), {"pair": pair.to_json_obj()}), args)
     return 0
@@ -303,7 +360,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if not is_square(perm):
         raise MatchingFailure("decoded sequence is not a square permutation")
     if args.format == "plain":
-        _emit(_perm_line(perm) + "\n", args)
+        _emit(_plain_lines([perm]), args)
         return 0
     _emit(_report(_config(args), {"permutation": perm}), args)
     return 0
@@ -333,7 +390,7 @@ def cmd_permuton_distance(args: argparse.Namespace) -> int:
             lines.append(
                 f"{r['n']},{r['sample_id']},{r['z0_over_n']:.12g},{r['d_grid']:.12g}"
             )
-        _emit("\n".join(lines) + "\n", args)
+        _emit((line + "\n" for line in lines), args)
         return 0
     _emit(_report(_config(args, seed=seed), {"rows": rows}), args)
     return 0
@@ -487,7 +544,7 @@ def cmd_pattern_stats(args: argparse.Namespace) -> int:
         "sd": float(floats.std(ddof=1)) if count > 1 else 0.0,
     }
     if args.format == "plain":
-        _emit(f"{body['mean']:.12g}\n", args)
+        _emit((f"{body['mean']:.12g}\n",), args)
         return 0
     _emit(_report(_config(args, seed=seed, pattern=_perm_key(pi)), body), args)
     return 0
@@ -622,7 +679,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             results[name] = True
     summary = "all checks passed" if failures == 0 else f"{failures} check(s) failed"
     if args.format == "plain":
-        _emit("\n".join(lines + [summary]) + "\n", args)
+        _emit((line + "\n" for line in lines + [summary]), args)
     else:
         body = {"results": results, "passed": failures == 0}
         _emit(_report(_config(args, seed=seed), body), args)
@@ -749,6 +806,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         SamplingBudgetExceeded,
         AssertionError,
         RuntimeError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -51,18 +51,31 @@ DEFAULT_WORK_BOUND = 10_000_000
 def as_permutation(values: Iterable[int]) -> Perm:
     """Validate and return ``values`` as a permutation tuple.
 
+    Python and numpy integers pass; float, bool and string entries are
+    refused, since ``int`` would truncate or parse them.
+
     >>> as_permutation([2, 4, 1, 3])
     (2, 4, 1, 3)
+    >>> as_permutation(np.array([2, 1]))
+    (2, 1)
     >>> as_permutation([1, 3])
     Traceback (most recent call last):
         ...
     ValueError: not a permutation of 1..2
+    >>> as_permutation([1.9, 2.2])
+    Traceback (most recent call last):
+        ...
+    ValueError: not a permutation of 1..2
     """
-    p = tuple(int(v) for v in values)
+    p = tuple(values)
     n = len(p)
-    if n < 1 or sorted(p) != list(range(1, n + 1)):
+    if (
+        n < 1
+        or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in p)
+        or sorted(p) != list(range(1, n + 1))
+    ):
         raise ValueError(f"not a permutation of 1..{n}")
-    return p
+    return tuple(int(v) for v in p)
 
 
 def inverse(p: Sequence[int]) -> Perm:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -99,13 +100,60 @@ REPORT_BODIES = [
 ]
 
 
-@pytest.mark.parametrize("body", REPORT_BODIES)
-def test_report_writer_matches_the_standard_encoder(body):
-    config = {"command": "sample", "size": 5, "seed": np.int64(3), "times": (0.25, 1.0)}
+REPORT_CONFIG = {"command": "sample", "size": 5, "seed": np.int64(3), "times": (0.25, 1.0)}
+
+
+def standard_report(config, body):
+    """The report as the standard encoder writes it."""
     doc = {"schema": cli.SCHEMA, "version": squareperm.__version__, "config": config}
     doc.update(body)
-    want = json.dumps(old_jsonable(doc), sort_keys=True, indent=2) + "\n"
-    assert cli._report(config, body) == want
+    return json.dumps(old_jsonable(doc), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("body", REPORT_BODIES)
+def test_report_writer_matches_the_standard_encoder(body):
+    want = standard_report(REPORT_CONFIG, body)
+    assert "".join(cli._report(REPORT_CONFIG, body)) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_report_writer_is_unchanged_by_its_chunk_length(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for k, body in enumerate(REPORT_BODIES):
+        got, want = "".join(cli._report(REPORT_CONFIG, body)), standard_report(REPORT_CONFIG, body)
+        # a line diff of the megabyte report would take minutes: name the first difference
+        if got != want:
+            at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(want))
+            pytest.fail(f"body {k} differs at {at}: {got[at:at + 40]!r} != {want[at:at + 40]!r}")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_sample_reports_are_unchanged_by_the_chunk_length(capsys, monkeypatch, chunk):
+    argv = ("sample", "--size", "40", "--count", "3", "--seed", "5")
+    plain = argv + ("--format", "plain")
+    want = run(capsys, *argv), run(capsys, *plain)
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    assert (run(capsys, *argv), run(capsys, *plain)) == want
+    code, out, _ = want[0]
+    report = json.loads(out)
+    assert code == 0 and out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    lines = want[1][1].splitlines()
+    assert [[int(v) for v in line.split()] for line in lines] == report["permutations"]
+
+
+def test_writing_a_large_report_allocates_a_small_fixed_buffer(tmp_path):
+    # the whole 10^6-value report would take over 14 MB as one string
+    perm = np.random.default_rng(3).permutation(10**6) + 1
+    body = {"permutations": [perm], "attempts": 1}
+    args = argparse.Namespace(output=str(tmp_path / "report.json"))
+    tracemalloc.start()
+    try:
+        cli._emit(cli._report({"command": "sample"}, body), args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert json.loads((tmp_path / "report.json").read_text())["permutations"] == [perm.tolist()]
 
 
 def test_sample_plain_lines_are_permutations(capsys):
@@ -406,6 +454,64 @@ def test_output_flag_redirects_the_payload(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["formula"] == 24
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_output_is_a_single_error_line(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "sample", "--size", "10", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stale", [False, True])
+def test_an_output_failing_partway_leaves_no_file(capsys, monkeypatch, tmp_path, stale):
+    target = tmp_path / "report.json"
+    if stale:
+        target.write_text("an earlier report")
+    real = cli._join_ints
+
+    def fails_after_one_chunk(arr, sep):
+        chunks = real(arr, sep)
+        yield next(chunks)
+        raise MemoryError("Unable to allocate 8.00 EiB")
+
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    monkeypatch.setattr(cli, "_join_ints", fails_after_one_chunk)
+    code, out, err = run(capsys, "sample", "--size", "40", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == "error: out of memory: Unable to allocate 8.00 EiB\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        # a 2.7 MB report: the writer blocks on the full pipe until the reader closes it
+        (["sample", "--size", "200000", "--seed", "1"], b'{\n  "attem'),
+        # four bytes, still in stdout's buffer when the flush meets the closed pipe
+        (["enumerate", "--size", "5", "--format", "plain"], b""),
+    ],
+)
+def test_a_closed_stdout_is_a_single_error_line(argv, head):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(squareperm.__file__).resolve().parent.parent)
+    script = "import sys; from squareperm import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
 
 
 def test_threading_does_not_change_the_report(capsys):

@@ -13,11 +13,15 @@ from squareperm import (
     coc_proportion,
     count_good_pairs,
     count_square_formula,
+    e_counts,
     enumerate_square,
     inverse,
     is_square,
+    lambda_estimate,
+    limit_p,
     occ_proportion,
     pattern_at,
+    quenched_gamma,
     records,
 )
 
@@ -88,6 +92,35 @@ def test_records_validate_like_every_array_entry_point(f):
     for bad in ([-1, 1, 2], [0, 1], [1, 10**12], [1, 2, 2]):
         with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.\d$"):
             f(bad)
+
+
+# every public measure that takes a pattern, as a function of the pattern
+PATTERN_MEASURES = {
+    "occ_proportion": lambda pi: occ_proportion(pi, (2, 1, 3)),
+    "coc_proportion": lambda pi: coc_proportion(pi, (2, 1, 3)),
+    "limit_p": limit_p,
+    "quenched_gamma": lambda pi: quenched_gamma(pi, 0.3),
+    "e_counts": e_counts,
+    "lambda_estimate": lambda pi: lambda_estimate(pi, 0.4, 10, 0),
+}
+
+
+@pytest.mark.parametrize("measure", PATTERN_MEASURES.values(), ids=PATTERN_MEASURES)
+def test_measures_refuse_non_integer_patterns(measure):
+    # the window measures take odd sizes; int() would truncate 2.1 to 2,
+    # parse '2' and take True for 1
+    for bad in (
+        (2.1, 1.2, 3.9),
+        ("2", "1", "3"),
+        (True, 3, 2),
+        (2, 1, np.float64(3.0)),
+        (np.bool_(True), 3, 2),
+    ):
+        with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3$"):
+            measure(bad)
+    # numpy integers of any width are integers
+    for good in ((np.int8(2), np.uint64(1), np.int64(3)), np.array([2, 1, 3], dtype=np.int32)):
+        assert measure(good) == measure((2, 1, 3))
 
 
 @given(small_perms)

@@ -57,7 +57,7 @@ from squareperm import (
     petrov_check,
     restrict,
 )
-from squareperm import encoding, sampler
+from squareperm import cli, encoding, sampler
 from squareperm.cli import _join_ints
 from squareperm.core import (
     _as_value_array,
@@ -1164,7 +1164,30 @@ def integer_edge_arrays():
 @pytest.mark.parametrize("sep", [" ", ", ", ",\n      "])
 def test_integer_writer_matches_the_string_join(sep):
     for a in integer_edge_arrays():
-        assert _join_ints(a, sep) == sep.join(map(str, a.tolist()))
+        assert "".join(_join_ints(a, sep)) == sep.join(map(str, a.tolist()))
+
+
+def chunk_edge_arrays(chunk):
+    """Arrays whose lengths and signs change at the chunk boundaries."""
+    rng = np.random.default_rng(chunk)
+    for size in (chunk - 1, chunk, chunk + 1, 2 * chunk, 3 * chunk + 2):
+        yield rng.integers(1, 10**6, size=size)
+        yield rng.integers(-(2**63), 2**63 - 1, size=size, endpoint=True)
+    # negatives and the widest values only after the first chunk
+    tail = [-1, -(2**63), 10**18, -10]
+    yield np.array([5] * chunk + tail, dtype=np.int64)
+    yield np.array([0] * (chunk + 1) + tail, dtype=np.int64)
+    yield np.array([7] * chunk + [2**64 - 1, 0], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_integer_writer_is_unchanged_by_its_chunk_length(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for sep in (" ", ", ", ",\n      "):
+        for a in itertools.chain(integer_edge_arrays(), chunk_edge_arrays(chunk)):
+            chunks = list(_join_ints(a, sep))
+            assert "".join(chunks) == sep.join(map(str, a.tolist()))
+            assert len(chunks) == -(-a.size // chunk)
 
 
 # --------------------------------------------------------------- errors
