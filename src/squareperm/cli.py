@@ -6,7 +6,8 @@ rerunning with that configuration reproduces the report byte for byte.
 JSON reports carry a schema-version field, floats are printed to 12
 significant digits, exact rationals as ``p/q``.
 The payload is written as it is built, to stdout or to the ``--output``
-file, which is either complete or absent; logs and errors go to stderr,
+file, which is opened before the subcommand does any work and is either
+complete or absent; logs and errors go to stderr,
 and the exit status is 0 only when everything the subcommand asserted
 holds.
 
@@ -25,10 +26,10 @@ import re
 import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -138,13 +139,28 @@ def _jsonable(obj: Any) -> Any:
 _CHUNK = 1 << 15
 
 
+@contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """The ``--output`` file, opened for writing; a regular file is removed
+    again if the block fails, so it is either complete or absent."""
+    regular = False
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+            yield f
+    except BaseException:
+        if regular:
+            os.unlink(path)
+        raise
+
+
 def _emit(chunks: Iterable[str], args: argparse.Namespace) -> None:
     """Write a payload's chunks, as they come, to stdout or the ``--output`` file.
 
-    A regular ``--output`` file that fails partway is removed, so it is
-    either complete or absent.  A stdout whose reader has gone is pointed
-    at the null device before the error propagates, so the flush at exit
-    raises nothing more.
+    ``args.output`` is None or the file :func:`main` opened before the
+    subcommand ran (see :func:`_opened`).  A stdout whose reader has gone
+    is pointed at the null device before the error propagates, so the
+    flush at exit raises nothing more.
     """
     out = getattr(args, "output", None)
     if out is None:
@@ -157,15 +173,7 @@ def _emit(chunks: Iterable[str], args: argparse.Namespace) -> None:
             os.close(devnull)
             raise
         return
-    regular = False
-    try:
-        with open(out, "w", encoding="utf-8") as f:
-            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
-            f.writelines(chunks)
-    except BaseException:
-        if regular:
-            os.unlink(out)
-        raise
+    out.writelines(chunks)
 
 
 def _join_ints(arr: np.ndarray, sep: str) -> Iterator[str]:
@@ -311,8 +319,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         square, stats = _sample_square(n, replicate_rng(seed, k))
         perms.append(square[1])
         attempts += stats.attempts
-        # the pair's label tables and the record masks, several times the
-        # permutation's size: not kept through the next draw or the report
+        # the pair, which keeps the matching's label positions (twice the
+        # permutation's size; no label tables are built), and the record
+        # masks: not kept through the next draw or the report
         del square
     if args.format == "plain":
         _emit(_plain_lines(perms), args)
@@ -798,7 +807,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an unwritable --output fails here, before the subcommand's work
+        with nullcontext() if args.output is None else _opened(args.output) as f:
+            if f is not None:
+                args.output = f
+            return args.func(args)
     except (
         ValueError,
         IndexError,

@@ -126,7 +126,7 @@ def is_square(p: Sequence[int]) -> bool:
     >>> is_square((8, 7, 5, 3, 2, 4, 6, 1))
     False
     """
-    return bool(np.logical_or.reduce(_record_masks(_as_value_array(p))).all())
+    return _all_records(_record_masks(_as_value_array(p)))
 
 
 def pattern_at(p: Sequence[int], positions: Iterable[int]) -> Perm:
@@ -210,9 +210,19 @@ def _square_records(p: Sequence[int] | np.ndarray) -> tuple[np.ndarray, Records]
 def _records_of_square(arr: np.ndarray) -> Records:
     """Record masks of an int64 permutation array; raises unless square."""
     masks = _record_masks(arr)
-    if not np.logical_or.reduce(masks).all():
+    if not _all_records(masks):
         raise ValueError("permutation is not square")
     return masks
+
+
+def _all_records(masks: Records) -> bool:
+    """Every position is a record of some kind; the masks are ORed in
+    place into one copy rather than stacked."""
+    lrmax, lrmin, rlmax, rlmin = masks
+    seen = lrmax | lrmin
+    seen |= rlmax
+    seen |= rlmin
+    return bool(seen.all())
 
 
 def _inversion_count(arr: np.ndarray) -> int:

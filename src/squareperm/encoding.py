@@ -184,11 +184,31 @@ class AnchoredPair:
 
     @cached_property
     def x_stats(self) -> "LabelStats":
-        return LabelStats._of_mask(self.x_is_d, _X_ALPHABET)
+        positions = self.__dict__.pop("_x_positions", None)
+        return LabelStats._of_mask(self.x_is_d, _X_ALPHABET, positions)
 
     @cached_property
     def y_stats(self) -> "LabelStats":
-        return LabelStats._of_mask(self.y_is_l, _Y_ALPHABET)
+        positions = self.__dict__.pop("_y_positions", None)
+        return LabelStats._of_mask(self.y_is_l, _Y_ALPHABET, positions)
+
+    def _positions(self) -> "_Positions":
+        """The 1-based positions ``((D, U), (L, R))`` of both letters: views
+        of the label tables where they are built, else one pass over each
+        mask."""
+        found = []
+        for name, mask in (("x_stats", self.x_is_d), ("y_stats", self.y_is_l)):
+            stats = self.__dict__.get(name)
+            if stats is None:
+                found.append(_positions_of(mask))
+            else:
+                found.append(tuple(stats.positions(label) for label in stats.alphabet))
+        return found[0], found[1]
+
+    def _keep_positions(self, positions: "_Positions") -> None:
+        """Keep positions that :meth:`_positions` found for the label tables
+        built later; each pair of arrays is released once its table is."""
+        self.__dict__.update(_x_positions=positions[0], _y_positions=positions[1])
 
     def to_text(self) -> str:
         """Three-line form: X, Y, then the anchor in decimal."""
@@ -207,6 +227,16 @@ class AnchoredPair:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AnchoredPair":
         return cls(obj["x"], obj["y"], int(obj["z0"]))
+
+
+def _positions_of(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based positions where the bool ``mask`` holds and where it does not."""
+    shifted = np.empty(mask.size + 1, dtype=bool)
+    shifted[0] = False
+    shifted[1:] = mask
+    first = np.flatnonzero(shifted)
+    np.logical_not(mask, out=shifted[1:])
+    return first, np.flatnonzero(shifted)
 
 
 class LabelStats:
@@ -242,23 +272,35 @@ class LabelStats:
         self._fill(mask, alphabet)
 
     @classmethod
-    def _of_mask(cls, mask: np.ndarray, alphabet: tuple[str, str]) -> "LabelStats":
+    def _of_mask(
+        cls,
+        mask: np.ndarray,
+        alphabet: tuple[str, str],
+        positions: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> "LabelStats":
         """The tables of the sequence reading ``alphabet[0]`` where the
-        read-only bool ``mask`` holds, taken over unchecked."""
+        read-only bool ``mask`` holds, taken over unchecked; ``positions``
+        are the 1-based occurrences of both letters, when already found."""
         stats = cls.__new__(cls)
-        stats._fill(mask, alphabet)
+        stats._fill(mask, alphabet, positions)
         return stats
 
-    def _fill(self, mask: np.ndarray, alphabet: tuple[str, str]) -> None:
+    def _fill(
+        self,
+        mask: np.ndarray,
+        alphabet: tuple[str, str],
+        positions: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
         n = mask.size
+        if positions is None:
+            positions = _positions_of(mask)
         count: dict[str, int] = {}
         pos: dict[str, np.ndarray] = {}
-        for label, occurs in ((alphabet[0], mask), (alphabet[1], ~mask)):
-            where = np.flatnonzero(occurs)
+        for label, where in zip(alphabet, positions):
             m = where.size
             padded = np.empty(n + 2, dtype=np.int64)
             padded[0] = 0
-            np.add(where, 1, out=padded[1 : 1 + m])
+            padded[1 : 1 + m] = where
             padded[1 + m :] = n
             padded.setflags(write=False)
             count[label] = m
@@ -579,18 +621,6 @@ def project(p: Sequence[int] | np.ndarray) -> AnchoredPair:
     return AnchoredPair._of_masks(*_label_masks(*_square_records(p)))
 
 
-def _anchor_counts(pair: AnchoredPair) -> tuple[int, int, int, int]:
-    """``(cd, z1, z2, z3)``: the D count up to the anchor and the anchors."""
-    if not pair.good:
-        raise ValueError("pair is not good")
-    sx, sy = pair.x_stats, pair.y_stats
-    cd = sx.ct("D", pair.z0)
-    z1 = sy.pos("L", cd)
-    z2 = sx.pos("U", sy.count("L") - cd)
-    z3 = sy.pos("R", sx.count("D") - cd)
-    return cd, z1, z2, z3
-
-
 def anchors(pair: AnchoredPair) -> tuple[int, int, int]:
     """The three derived anchors (z1, z2, z3) of a good pair.
 
@@ -602,7 +632,11 @@ def anchors(pair: AnchoredPair) -> tuple[int, int, int]:
     >>> anchors(AnchoredPair("D" * 5, "L" * 5, 1))
     (1, 5, 5)
     """
-    return _anchor_counts(pair)[1:]
+    if not pair.good:
+        raise ValueError("pair is not good")
+    sx, sy = pair.x_stats, pair.y_stats
+    cd = sx.ct("D", pair.z0)
+    return sy.pos("L", cd), sx.pos("U", sy.count("L") - cd), sy.pos("R", sx.count("D") - cd)
 
 
 @dataclass(frozen=True)
@@ -624,41 +658,66 @@ class LambdaFamilies:
         )
 
 
-_FamilySlices = tuple[tuple[np.ndarray, np.ndarray], ...]
+#: 1-based occurrence positions of a pair's labels, ``((D, U), (L, R))``.
+_Positions = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _match(pair: AnchoredPair) -> tuple[np.ndarray, _FamilySlices, tuple[int, int, int]]:
-    """The matching kernel of :func:`build_lambdas` and :func:`reconstruct`.
+class _Matching(NamedTuple):
+    """What :func:`_match` found for a good pair."""
 
-    Each family is a pair of (columns, rows) views of the padded position
-    tables, reversed where the family runs backwards; the rows are
-    scattered by column into the permutation.  The column slices
-    partition the D and U positions whatever the counts, so only the rows
-    can fail to be a bijection.  Returns the permutation (a view), the
-    four families and the anchors.
+    perm: np.ndarray  # the permutation, values 1..n by 0-based column
+    families: tuple[tuple[np.ndarray, np.ndarray], ...]  # (columns, rows), 1-based
+    anchors: tuple[int, int, int]  # (z1, z2, z3)
+    positions: _Positions
+
+
+def _match(pair: AnchoredPair) -> _Matching:
+    """The matching kernel of :func:`build_lambdas`, :func:`reconstruct`
+    and the square sampler's round trip.
+
+    With ``cd`` the D count up to the anchor, family 1 pairs the first
+    ``cd`` D columns with the first ``cd`` L rows in reverse, family 2
+    the first ``cu`` U columns (those up to z2) with the L rows family 1
+    leaves, ``cu = #L - cd`` of them, family 3 the later D columns with
+    the R rows in order, and family 4 the remaining U columns with the
+    remaining R rows in reverse.  The column slices partition the D and
+    U columns.  When ``0 <= cu <= #U`` the row slices partition the L and
+    R rows, so the rows are a bijection without a check.
+
+    Exactly one other count assembles into a permutation, ``cu = #U + 1``:
+    families 1 and 2 then leave only the last L row, n, and family 3 has
+    one column more than there are R rows, so the last D column, n, takes
+    row n.  The squares built this way are those whose highest point is
+    in column z2 = n, ``C(2n - 4, n - 2)`` of them.  This is the one case
+    in which the matching reads past a position table (where a padded
+    table reads n); any other count would read past one and raises
+    :class:`MatchingFailure`.
     """
-    cd, z1, z2, z3 = _anchor_counts(pair)
+    if not pair.good:
+        raise ValueError("pair is not good")
     n = pair.n
-    sx, sy = pair.x_stats, pair.y_stats
-    cu = sx.ct("U", z2)
-    md, mu = sx.count("D"), sx.count("U")
-    pos_d, pos_u = sx.pos_table("D"), sx.pos_table("U")
-    pos_l, pos_r = sy.pos_table("L"), sy.pos_table("R")
-    fams = (
-        (pos_d[1 : cd + 1], pos_l[cd:0:-1]),
-        (pos_u[1 : cu + 1], pos_l[cd + 1 : cd + cu + 1]),
-        (pos_d[cd + 1 : md + 1], pos_r[1 : md - cd + 1]),
-        (pos_u[cu + 1 : mu + 1], pos_r[n - cd - cu : md - cd : -1]),
+    positions = (down, up), (left, right) = pair._positions()
+    cd = int(np.searchsorted(down, pair.z0)) + 1  # the anchor column is the cd-th D
+    cu = left.size - cd
+    if not 0 <= cu <= up.size + 1:
+        raise MatchingFailure("label matching is not a bijection")
+    if cu > up.size:
+        cu = up.size
+        rows3, z2 = np.append(right, n), n
+    else:
+        rows3, z2 = right, int(up[cu - 1]) if cu else 0
+    m3 = down.size - cd
+    families = (
+        (down[:cd], left[cd - 1 :: -1]),
+        (up[:cu], left[cd : cd + cu]),
+        (down[cd:], rows3[:m3]),
+        (up[cu:], right[m3:][::-1]),
     )
     out = np.empty(n + 1, dtype=np.int64)  # 1-based: entry 0 is unused
-    for cols, rows in fams:
+    for cols, rows in families:
         out[cols] = rows
-    perm = out[1:]
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[perm] = True
-    if not seen[1:].all():  # n rows cover 1..n exactly when each appears once
-        raise MatchingFailure("label matching is not a bijection")
-    return perm, fams, (z1, z2, z3)
+    z1, z3 = int(left[cd - 1]), int(rows3[m3 - 1]) if m3 else 0
+    return _Matching(out[1:], families, (z1, z2, z3), positions)
 
 
 def build_lambdas(pair: AnchoredPair) -> LambdaFamilies:
@@ -668,27 +727,27 @@ def build_lambdas(pair: AnchoredPair) -> LambdaFamilies:
     z1 in reverse, family 2 the U columns up to z2 with the remaining L
     rows, family 3 the later D columns with the R rows, family 4 the
     remaining U columns with the remaining R rows, exactly one label
-    occurrence each.  Raises :class:`MatchingFailure` when the families do
-    not assemble into a permutation, which is how irregular pairs
-    (typically with degenerate, padded position lookups) surface.
+    occurrence each.  Raises :class:`MatchingFailure` when the label
+    counts leave the families no permutation to assemble into, which is
+    how irregular pairs surface.
     """
-    _, fams, (z1, z2, z3) = _match(pair)
-    return LambdaFamilies(
-        *(np.column_stack(f) for f in fams), z1=int(z1), z2=int(z2), z3=int(z3)
-    )
+    _, families, (z1, z2, z3), _ = _match(pair)
+    return LambdaFamilies(*(np.column_stack(f) for f in families), z1=z1, z2=z2, z3=z3)
 
 
 def reconstruct(pair: AnchoredPair) -> np.ndarray:
     """Rebuild the permutation whose projection is the given pair.
 
-    Construction is attempted unconditionally on good pairs and
-    validated, so a matching that is not a bijection fails with
-    :class:`MatchingFailure` rather than returning garbage.  This inverts
-    :func:`project` on every square permutation; the reconstruction of a
-    good pair that is no square's projection, when it succeeds, does not
-    project back to it.
+    Construction is attempted unconditionally on good pairs.  The label
+    counts decide whether the matching is a bijection: a count that
+    would read past a position table raises :class:`MatchingFailure`
+    rather than returning garbage, save the one case that stands for the
+    squares with ``p(n) = n``, where the last D column takes row n (see
+    :func:`_match`).  This inverts :func:`project` on every square
+    permutation; the reconstruction of a good pair that is no square's
+    projection, when it succeeds, does not project back to it.
 
     >>> reconstruct(AnchoredPair("DUDD", "LLRL", 3)).tolist()
     [2, 4, 1, 3]
     """
-    return _match(pair)[0]
+    return _match(pair).perm

@@ -8,7 +8,14 @@ uniform good pair that reconstructs to a permutation projecting back to
 it: :func:`~squareperm.encoding.project` is injective and
 :func:`~squareperm.encoding.reconstruct` inverts it on every square, so
 the accepted pairs are exactly the projections of ``Sq(n)``, each once,
-and the draw is exactly uniform on ``Sq(n)`` at every size.
+and the draw is exactly uniform on ``Sq(n)`` at every size.  The round
+trip is checked column by column on the permutation's record masks,
+without projecting the permutation again: a matching that succeeds is a
+bijection by its label counts and puts row 1 in the anchor column, and
+on a square whose minima are the D columns every row reads the letter
+the matching dealt it, so none of these needs a pass (see
+:func:`_square_of`).  The draw builds no label tables; an accepted pair
+keeps the matching's label positions for tables built later.
 
 ``sample_good``, ``sample_regular``, ``sample_conditioned`` and
 ``_sample_square`` run one rejection loop and differ only in what they
@@ -33,14 +40,14 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .core import Records, _records_of_square
+from .core import Records, _record_masks
 from .encoding import (
     DEFAULT_PETROV_CONDITIONS,
     AnchoredPair,
-    _label_masks,
+    MatchingFailure,
+    _match,
     margin_ok,
     passes_petrov,
-    reconstruct,
 )
 
 __all__ = [
@@ -91,11 +98,19 @@ def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
 
 def _random_label_mask(rng: np.random.Generator, n: int, forced: Iterable[int]) -> np.ndarray:
     """Uniform label mask, True for the alphabet's first letter (a drawn 0
-    bit), with the given 1-based positions forced to it."""
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+    bit), with the given 1-based positions forced to it.
+
+    The mask is ``rng.integers(0, 2, size=n, dtype=np.uint8) == 0`` bit
+    for bit, and leaves the generator in the same state: that draw takes
+    one 32-bit word per four values, least significant byte first, and
+    keeps the top bit of each byte.  Here the words are drawn whole, and
+    a byte below 128 reads as the first letter.
+    """
+    words = rng.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32)
+    mask = words.astype("<u4", copy=False).view(np.uint8)[:n] < 128
     for i in forced:
-        bits[i - 1] = 0
-    return bits == 0
+        mask[i - 1] = True
+    return mask
 
 
 def _draw_pair(rng: np.random.Generator, n: int, z0: int) -> AnchoredPair:
@@ -160,22 +175,40 @@ def _square_of(pair: AnchoredPair) -> tuple[AnchoredPair, np.ndarray, Records] |
     if there is none.
 
     ``project`` is injective and ``reconstruct`` inverts it, so the
-    reconstruction is the preimage exactly when it is square and its
-    projection, compared as masks with the pair's masks, is the pair.
-    The matching has already proved it a permutation.
+    matching's permutation is the preimage exactly when it is square and
+    projects back to the pair.  Both are read off the record masks,
+    column by column: every point is a record, and the minima are the D
+    columns.  The anchor needs no check (the matching puts row 1 in
+    column z0), nor does the matching (one that succeeds is a bijection),
+    nor do the row labels.  The matching deals L rows to the D columns up
+    to z0 and the U columns up to z2, and R rows to the rest; projection
+    reads a point's row as L when it is a left minimum, or a left maximum
+    that is no right minimum.  Left of both the lowest point (column z0)
+    and the highest (column z2, or 1 when z2 = 0), a point of a square is
+    a left record and reads L; right of both, a right record that reads R.
+    Between them it is a right minimum or a left maximum when z0 < z2,
+    reading R exactly when it is a minimum, and a left minimum or a right
+    maximum when z2 < z0, reading L exactly when it is a minimum: where
+    the minima are the D columns, always the letter the matching dealt.
+    Rows 1 and n read L on both sides.  The label tables are not built;
+    the pair keeps the matching's positions for them.
     """
     try:
-        p = reconstruct(pair)
-        masks = _records_of_square(p)
-    except ValueError:  # no bijection (MatchingFailure) or not square: no preimage
+        matching = _match(pair)
+    except MatchingFailure:
         return None
-    is_min, is_left, z0 = _label_masks(p, masks)
-    same = (
-        z0 == pair.z0
-        and np.array_equal(is_min, pair.x_is_d)
-        and np.array_equal(is_left, pair.y_is_l)
-    )
-    return (pair, p, masks) if same else None
+    p = matching.perm
+    masks = lrmax, lrmin, rlmax, rlmin = _record_masks(p)
+    # the end columns are minima of both kinds and read D
+    seen = lrmin | rlmin
+    if not np.array_equal(seen, pair.x_is_d):
+        return None
+    seen |= lrmax
+    seen |= rlmax
+    if not seen.all():
+        return None
+    pair._keep_positions(matching.positions)
+    return pair, p, masks
 
 
 def sample_good(n: int, rng: np.random.Generator | int | None = None) -> AnchoredPair:

@@ -145,10 +145,10 @@ def test_writing_a_large_report_allocates_a_small_fixed_buffer(tmp_path):
     # the whole 10^6-value report would take over 14 MB as one string
     perm = np.random.default_rng(3).permutation(10**6) + 1
     body = {"permutations": [perm], "attempts": 1}
-    args = argparse.Namespace(output=str(tmp_path / "report.json"))
     tracemalloc.start()
     try:
-        cli._emit(cli._report({"command": "sample"}, body), args)
+        with cli._opened(str(tmp_path / "report.json")) as f:
+            cli._emit(cli._report({"command": "sample"}, body), argparse.Namespace(output=f))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -482,6 +482,32 @@ def test_an_output_failing_partway_leaves_no_file(capsys, monkeypatch, tmp_path,
     code, out, err = run(capsys, "sample", "--size", "40", "--output", str(target))
     assert code == 1 and out == ""
     assert err == "error: out of memory: Unable to allocate 8.00 EiB\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_unwritable_output_is_refused_before_any_draw(capsys, monkeypatch, tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the subcommand drew before its output was opened")
+
+    monkeypatch.setattr(cli, "_sample_square", no_draws)
+    code, out, err = run(capsys, "sample", "--size", "2000000", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+    assert "drew" not in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stale", [False, True])
+def test_a_failing_subcommand_leaves_no_output_file(capsys, tmp_path, stale):
+    target = tmp_path / "report.json"
+    if stale:
+        target.write_text("an earlier report")
+    code, out, err = run(capsys, "sample", "--size", "10", "--count", "0", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == "error: count must be positive\n"
     assert not target.exists()
 
 

@@ -12,7 +12,10 @@ exhaustive per-row loop, kept here), and the block-screened Petrov
 window check against the min/max filter pair alone.  The round-trip
 kernels (label tables, the Petrov check, label matching, record masks,
 the separating-line test and the fluctuation families) are checked
-against their earlier straightforward versions, kept here, and the
+against their earlier straightforward versions, kept here; the
+unpadded matching and the square draw's column-wise check against the
+padded matching and the re-projection they replaced, also kept here;
+the label words against the per-byte draw they reproduce; and the
 report writer's integer kernel against ``str.join`` over ``str`` of
 every value.
 """
@@ -47,6 +50,7 @@ from squareperm import (
     box_distance_grid,
     coc_proportion,
     count_good_pairs,
+    count_square_formula,
     empirical_window_distribution,
     enumerate_square,
     grid_cdf,
@@ -788,6 +792,167 @@ def test_matching_agrees_on_seeded_pairs(n):
     assert any(results)
     if n < 20000:
         assert not all(results)
+
+
+# the unpadded matching and the square draw's column-wise check
+
+
+def old_match(pair):
+    """The matching kernel on the padded position tables: the families are
+    views of the tables, scattered by column, then one bijection pass."""
+    if not pair.good:
+        raise ValueError("pair is not good")
+    n = pair.n
+    sx = LabelStats._of_mask(pair.x_is_d, ("D", "U"))
+    sy = LabelStats._of_mask(pair.y_is_l, ("L", "R"))
+    cd = sx.ct("D", pair.z0)
+    z1 = sy.pos("L", cd)
+    z2 = sx.pos("U", sy.count("L") - cd)
+    z3 = sy.pos("R", sx.count("D") - cd)
+    cu = sx.ct("U", z2)
+    md, mu = sx.count("D"), sx.count("U")
+    pos_d, pos_u = sx.pos_table("D"), sx.pos_table("U")
+    pos_l, pos_r = sy.pos_table("L"), sy.pos_table("R")
+    fams = (
+        (pos_d[1 : cd + 1], pos_l[cd:0:-1]),
+        (pos_u[1 : cu + 1], pos_l[cd + 1 : cd + cu + 1]),
+        (pos_d[cd + 1 : md + 1], pos_r[1 : md - cd + 1]),
+        (pos_u[cu + 1 : mu + 1], pos_r[n - cd - cu : md - cd : -1]),
+    )
+    out = np.empty(n + 1, dtype=np.int64)
+    for cols, rows in fams:
+        out[cols] = rows
+    perm = out[1:]
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[perm] = True
+    if not seen[1:].all():
+        raise MatchingFailure("label matching is not a bijection")
+    return perm, fams, (z1, z2, z3)
+
+
+def old_square_of(pair, matched):
+    """``(p, masks)`` for the preimage of a good pair, or None, from the
+    outcome of :func:`old_match` on it: the projection of its permutation
+    compared as masks with the pair."""
+    if isinstance(matched[0], type):  # the matching failed
+        return None
+    p = matched[0]
+    masks = _record_masks(p)
+    if not np.logical_or.reduce(masks).all():
+        return None
+    is_min, is_left, z0 = encoding._label_masks(p, masks)
+    same = (
+        z0 == pair.z0
+        and np.array_equal(is_min, pair.x_is_d)
+        and np.array_equal(is_left, pair.y_is_l)
+    )
+    return (p, masks) if same else None
+
+
+def assert_same_round_trip(pair):
+    """The draw's round trip agrees with the padded one: accept or reject,
+    the permutation and its four record masks; a rejected pair
+    reconstructs to the same permutation, or fails the same way.  Returns
+    the padded matching of an accepted pair, and None for a rejected one."""
+    matched = outcome(old_match, pair)
+    want = old_square_of(pair, matched)
+    got = sampler._square_of(pair)
+    assert (got is None) == (want is None)
+    if got is None:
+        rebuilt = outcome(reconstruct, pair)
+        if isinstance(matched[0], type):
+            assert rebuilt == matched
+        else:
+            assert_same_int_table(rebuilt, matched[0])
+        return None
+    assert got[0] is pair
+    assert_same_int_table(got[1], want[0])
+    for g, w in zip(got[2], want[1], strict=True):
+        assert g.dtype == w.dtype == bool and np.array_equal(g, w)
+    return matched
+
+
+def reaches_the_top_branch(pair):
+    """The label counts of the one matching that reads past a table: the
+    U columns up to z2 would take one L row more than there are U columns."""
+    cd = int(pair.x_is_d[: pair.z0].sum())
+    return int(pair.y_is_l.sum()) - cd == int((~pair.x_is_d).sum()) + 1
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_round_trip_matches_the_padded_kernel_on_every_good_pair(n):
+    accepted, top = [], 0
+    for pair in good_pairs(n):
+        matched = assert_same_round_trip(pair)
+        if matched is None:
+            continue
+        perm, fams, (z1, z2, z3) = matched
+        p = tuple(perm.tolist())
+        accepted.append(p)
+        got = build_lambdas(pair)
+        for g, (cols, rows) in zip((got.lambda1, got.lambda2, got.lambda3, got.lambda4), fams):
+            assert_same_int_table(g, np.column_stack((cols, rows)))
+        assert (got.z1, got.z2, got.z3) == (z1, z2, z3)
+        # the squares with p(n) = n are those the explicit branch builds,
+        # and it alone gives z2 = n
+        assert (p[-1] == n) == reaches_the_top_branch(pair) == (got.z2 == n)
+        top += p[-1] == n
+    assert len(accepted) == count_square_formula(n)
+    assert sorted(accepted) == enumerate_square(n)
+    assert top == math.comb(2 * n - 4, n - 2)
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_round_trip_matches_the_padded_kernel_on_seeded_pairs(n):
+    rng = np.random.default_rng(n + 18)
+    pairs = [sample_good(n, rng) for _ in range(1000)]
+    # at the end anchors and next to them few pairs are squares' projections:
+    # raw draws there, mostly rejected, and accepted anchored draws
+    for z0 in (1, 2, n - 1, n):
+        pairs += [sampler._draw_pair(rng, n, z0) for _ in range(20)]
+        pairs += [sampler._sample_square(n, rng, z0)[0][0] for _ in range(2)]
+    results = [assert_same_round_trip(pair) is not None for pair in pairs]
+    assert 0 < results.count(False) < len(pairs) // 4
+    # the two accepted draws close each anchor's group of 22
+    anchored = [r for i, r in enumerate(results[1000:]) if i % 22 >= 20]
+    assert len(anchored) == 8 and all(anchored)
+
+
+def test_an_accepted_draw_hands_its_positions_to_the_label_tables_once():
+    (pair, _, _), _ = sampler._sample_square(5000, sampler.replicate_rng(3, 0), 3000)
+    assert {"x_stats", "y_stats"}.isdisjoint(pair.__dict__)  # the draw built no tables
+    for name, string in (("x", pair.x), ("y", pair.y)):
+        assert f"_{name}_positions" in pair.__dict__
+        got, want = getattr(pair, f"{name}_stats"), LabelStats(string)
+        # released once the table is built from them
+        assert f"_{name}_positions" not in pair.__dict__
+        for label in want.alphabet:
+            assert_same_int_table(got.pos_table(label), want.pos_table(label))
+            assert got.count(label) == want.count(label)
+    # a pair whose tables are built matches on views of them
+    again = AnchoredPair(pair.x, pair.y, pair.z0)
+    assert again.x_stats.n == again.y_stats.n == pair.n  # builds both tables
+    matched = encoding._match(again)
+    assert_same_int_table(matched.perm, reconstruct(pair))
+    for got, stats in zip(matched.positions, (again.x_stats, again.y_stats)):
+        for g, label in zip(got, stats.alphabet):
+            assert np.shares_memory(g, stats.pos_table(label))
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 1000, 1001, 1002, 1003, 10**6])
+def test_label_words_draw_the_byte_stream_of_the_uint8_draw(n):
+    # one 32-bit word per four labels, least significant byte first; the
+    # scalar draws between masks read the bit generator's buffered half word
+    got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for forced in ((), (1, n), (1, n, (n + 1) // 2), (1, n), ()):
+        got = sampler._random_label_mask(got_rng, n, forced)
+        want = want_rng.integers(0, 2, size=n, dtype=np.uint8) == 0
+        want[[i - 1 for i in forced]] = True
+        assert got.dtype == bool and got.shape == (n,)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.integers(0, 2) == want_rng.integers(0, 2)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # label tables

@@ -22,7 +22,7 @@ from squareperm import (
     sample_regular,
     sample_square_approx,
 )
-from squareperm import sampler
+from squareperm import encoding, sampler
 from squareperm.core import _record_masks
 from squareperm.encoding import (
     ALL_PETROV_CONDITIONS,
@@ -213,15 +213,17 @@ def test_anchored_square_draw_reaches_every_square_with_its_anchor(z0):
 
 
 def test_anchored_draw_counts_a_reconstruction_that_is_no_square(monkeypatch):
-    real = sampler.reconstruct
+    real = sampler._match
     calls = []
 
     def first_not_square(pair):
         calls.append(pair)
+        if len(calls) > 1:
+            return real(pair)
         # the 3 at column 3 is no record of 2 5 3 1 4
-        return np.array([2, 5, 3, 1, 4]) if len(calls) == 1 else real(pair)
+        return encoding._Matching(np.array([2, 5, 3, 1, 4]), (), (2, 2, 4), ((), ()))
 
-    monkeypatch.setattr(sampler, "reconstruct", first_not_square)
+    monkeypatch.setattr(sampler, "_match", first_not_square)
     (pair, p, _), stats = _sample_square(5, replicate_rng(23, 0), 4)
     assert stats.rejects_roundtrip >= 1 and len(calls) == stats.rejects_roundtrip + 1
     assert is_square(p.tolist()) and project(p) == pair and pair.z0 == 4
