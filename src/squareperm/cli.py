@@ -6,10 +6,10 @@ rerunning with that configuration reproduces the report byte for byte.
 JSON reports carry a schema-version field, floats are printed to 12
 significant digits, exact rationals as ``p/q``.
 The payload is written as it is built, to stdout or to the ``--output``
-file, which is opened before the subcommand does any work and is either
-complete or absent; logs and errors go to stderr,
-and the exit status is 0 only when everything the subcommand asserted
-holds.
+file, which is opened before the subcommand does any work but emptied
+only when the report starts, and is either complete or absent; logs
+and errors go to stderr, and the exit status is 0 only when everything
+the subcommand asserted holds.
 
 Environment variables ``SQUAREPERM_SEED`` and ``SQUAREPERM_THREADS``
 supply defaults for ``--seed`` and ``--threads``; explicit flags win.
@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -140,16 +140,36 @@ _CHUNK = 1 << 15
 
 
 @contextmanager
-def _opened(path: str) -> Iterator[TextIO]:
-    """The ``--output`` file, opened for writing; a regular file is removed
-    again if the block fails, so it is either complete or absent."""
-    regular = False
+def _opened(path: str) -> Iterator[Callable[[Iterable[str]], None]]:
+    """Open the ``--output`` file, without emptying it, and yield the
+    function that writes a report into it.
+
+    The file is emptied when the report starts.  If the block fails, a
+    regular file that this run created or began to write is removed, so
+    it is either complete or absent, and an earlier report survives a
+    run that fails before its own report starts.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
-            yield f
-    except BaseException:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+    except FileExistsError:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        created = False
+    started = regular = False
+
+    def write(chunks: Iterable[str]) -> None:
+        nonlocal started
+        started = True
         if regular:
+            f.truncate(0)
+        f.writelines(chunks)
+
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            yield write
+    except BaseException:
+        if regular and (created or started):
             os.unlink(path)
         raise
 
@@ -157,13 +177,13 @@ def _opened(path: str) -> Iterator[TextIO]:
 def _emit(chunks: Iterable[str], args: argparse.Namespace) -> None:
     """Write a payload's chunks, as they come, to stdout or the ``--output`` file.
 
-    ``args.output`` is None or the file :func:`main` opened before the
-    subcommand ran (see :func:`_opened`).  A stdout whose reader has gone
-    is pointed at the null device before the error propagates, so the
-    flush at exit raises nothing more.
+    ``args.output`` is None or the writer of the file :func:`main` opened
+    before the subcommand ran (see :func:`_opened`).  A stdout whose
+    reader has gone is pointed at the null device before the error
+    propagates, so the flush at exit raises nothing more.
     """
-    out = getattr(args, "output", None)
-    if out is None:
+    write = getattr(args, "output", None)
+    if write is None:
         try:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
@@ -173,7 +193,7 @@ def _emit(chunks: Iterable[str], args: argparse.Namespace) -> None:
             os.close(devnull)
             raise
         return
-    out.writelines(chunks)
+    write(chunks)
 
 
 def _join_ints(arr: np.ndarray, sep: str) -> Iterator[str]:
@@ -319,9 +339,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         square, stats = _sample_square(n, replicate_rng(seed, k))
         perms.append(square[1])
         attempts += stats.attempts
-        # the pair, which keeps the matching's label positions (twice the
-        # permutation's size; no label tables are built), and the record
-        # masks: not kept through the next draw or the report
+        # the pair (the draw builds no label tables) and the record masks:
+        # not kept through the next draw or the report
         del square
     if args.format == "plain":
         _emit(_plain_lines(perms), args)
@@ -808,9 +827,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # an unwritable --output fails here, before the subcommand's work
-        with nullcontext() if args.output is None else _opened(args.output) as f:
-            if f is not None:
-                args.output = f
+        with nullcontext() if args.output is None else _opened(args.output) as write:
+            if write is not None:
+                args.output = write
             return args.func(args)
     except (
         ValueError,

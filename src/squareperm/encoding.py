@@ -184,31 +184,11 @@ class AnchoredPair:
 
     @cached_property
     def x_stats(self) -> "LabelStats":
-        positions = self.__dict__.pop("_x_positions", None)
-        return LabelStats._of_mask(self.x_is_d, _X_ALPHABET, positions)
+        return LabelStats._of_mask(self.x_is_d, _X_ALPHABET)
 
     @cached_property
     def y_stats(self) -> "LabelStats":
-        positions = self.__dict__.pop("_y_positions", None)
-        return LabelStats._of_mask(self.y_is_l, _Y_ALPHABET, positions)
-
-    def _positions(self) -> "_Positions":
-        """The 1-based positions ``((D, U), (L, R))`` of both letters: views
-        of the label tables where they are built, else one pass over each
-        mask."""
-        found = []
-        for name, mask in (("x_stats", self.x_is_d), ("y_stats", self.y_is_l)):
-            stats = self.__dict__.get(name)
-            if stats is None:
-                found.append(_positions_of(mask))
-            else:
-                found.append(tuple(stats.positions(label) for label in stats.alphabet))
-        return found[0], found[1]
-
-    def _keep_positions(self, positions: "_Positions") -> None:
-        """Keep positions that :meth:`_positions` found for the label tables
-        built later; each pair of arrays is released once its table is."""
-        self.__dict__.update(_x_positions=positions[0], _y_positions=positions[1])
+        return LabelStats._of_mask(self.y_is_l, _Y_ALPHABET)
 
     def to_text(self) -> str:
         """Three-line form: X, Y, then the anchor in decimal."""
@@ -272,31 +252,18 @@ class LabelStats:
         self._fill(mask, alphabet)
 
     @classmethod
-    def _of_mask(
-        cls,
-        mask: np.ndarray,
-        alphabet: tuple[str, str],
-        positions: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> "LabelStats":
+    def _of_mask(cls, mask: np.ndarray, alphabet: tuple[str, str]) -> "LabelStats":
         """The tables of the sequence reading ``alphabet[0]`` where the
-        read-only bool ``mask`` holds, taken over unchecked; ``positions``
-        are the 1-based occurrences of both letters, when already found."""
+        read-only bool ``mask`` holds, taken over unchecked."""
         stats = cls.__new__(cls)
-        stats._fill(mask, alphabet, positions)
+        stats._fill(mask, alphabet)
         return stats
 
-    def _fill(
-        self,
-        mask: np.ndarray,
-        alphabet: tuple[str, str],
-        positions: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
+    def _fill(self, mask: np.ndarray, alphabet: tuple[str, str]) -> None:
         n = mask.size
-        if positions is None:
-            positions = _positions_of(mask)
         count: dict[str, int] = {}
         pos: dict[str, np.ndarray] = {}
-        for label, where in zip(alphabet, positions):
+        for label, where in zip(alphabet, _positions_of(mask)):
             m = where.size
             padded = np.empty(n + 2, dtype=np.int64)
             padded[0] = 0
@@ -658,20 +625,10 @@ class LambdaFamilies:
         )
 
 
-#: 1-based occurrence positions of a pair's labels, ``((D, U), (L, R))``.
-_Positions = tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+_FamilySlices = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-class _Matching(NamedTuple):
-    """What :func:`_match` found for a good pair."""
-
-    perm: np.ndarray  # the permutation, values 1..n by 0-based column
-    families: tuple[tuple[np.ndarray, np.ndarray], ...]  # (columns, rows), 1-based
-    anchors: tuple[int, int, int]  # (z1, z2, z3)
-    positions: _Positions
-
-
-def _match(pair: AnchoredPair) -> _Matching:
+def _match(pair: AnchoredPair) -> tuple[np.ndarray, _FamilySlices, tuple[int, int, int]]:
     """The matching kernel of :func:`build_lambdas`, :func:`reconstruct`
     and the square sampler's round trip.
 
@@ -696,7 +653,7 @@ def _match(pair: AnchoredPair) -> _Matching:
     if not pair.good:
         raise ValueError("pair is not good")
     n = pair.n
-    positions = (down, up), (left, right) = pair._positions()
+    (down, up), (left, right) = _positions_of(pair.x_is_d), _positions_of(pair.y_is_l)
     cd = int(np.searchsorted(down, pair.z0)) + 1  # the anchor column is the cd-th D
     cu = left.size - cd
     if not 0 <= cu <= up.size + 1:
@@ -717,7 +674,7 @@ def _match(pair: AnchoredPair) -> _Matching:
     for cols, rows in families:
         out[cols] = rows
     z1, z3 = int(left[cd - 1]), int(rows3[m3 - 1]) if m3 else 0
-    return _Matching(out[1:], families, (z1, z2, z3), positions)
+    return out[1:], families, (z1, z2, z3)
 
 
 def build_lambdas(pair: AnchoredPair) -> LambdaFamilies:
@@ -731,7 +688,7 @@ def build_lambdas(pair: AnchoredPair) -> LambdaFamilies:
     counts leave the families no permutation to assemble into, which is
     how irregular pairs surface.
     """
-    _, families, (z1, z2, z3), _ = _match(pair)
+    _, families, (z1, z2, z3) = _match(pair)
     return LambdaFamilies(*(np.column_stack(f) for f in families), z1=z1, z2=z2, z3=z3)
 
 
@@ -750,4 +707,4 @@ def reconstruct(pair: AnchoredPair) -> np.ndarray:
     >>> reconstruct(AnchoredPair("DUDD", "LLRL", 3)).tolist()
     [2, 4, 1, 3]
     """
-    return _match(pair).perm
+    return _match(pair)[0]

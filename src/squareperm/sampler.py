@@ -14,8 +14,8 @@ without projecting the permutation again: a matching that succeeds is a
 bijection by its label counts and puts row 1 in the anchor column, and
 on a square whose minima are the D columns every row reads the letter
 the matching dealt it, so none of these needs a pass (see
-:func:`_square_of`).  The draw builds no label tables; an accepted pair
-keeps the matching's label positions for tables built later.
+:func:`_square_of`).  The draw builds no label tables; they are built
+from the pair's masks when something first reads them.
 
 ``sample_good``, ``sample_regular``, ``sample_conditioned`` and
 ``_sample_square`` run one rejection loop and differ only in what they
@@ -190,14 +190,12 @@ def _square_of(pair: AnchoredPair) -> tuple[AnchoredPair, np.ndarray, Records] |
     reading R exactly when it is a minimum, and a left minimum or a right
     maximum when z2 < z0, reading L exactly when it is a minimum: where
     the minima are the D columns, always the letter the matching dealt.
-    Rows 1 and n read L on both sides.  The label tables are not built;
-    the pair keeps the matching's positions for them.
+    Rows 1 and n read L on both sides.  The label tables are not built.
     """
     try:
-        matching = _match(pair)
+        p = _match(pair)[0]
     except MatchingFailure:
         return None
-    p = matching.perm
     masks = lrmax, lrmin, rlmax, rlmin = _record_masks(p)
     # the end columns are minima of both kinds and read D
     seen = lrmin | rlmin
@@ -207,7 +205,6 @@ def _square_of(pair: AnchoredPair) -> tuple[AnchoredPair, np.ndarray, Records] |
     seen |= rlmax
     if not seen.all():
         return None
-    pair._keep_positions(matching.positions)
     return pair, p, masks
 
 

@@ -147,8 +147,8 @@ def test_writing_a_large_report_allocates_a_small_fixed_buffer(tmp_path):
     body = {"permutations": [perm], "attempts": 1}
     tracemalloc.start()
     try:
-        with cli._opened(str(tmp_path / "report.json")) as f:
-            cli._emit(cli._report({"command": "sample"}, body), argparse.Namespace(output=f))
+        with cli._opened(str(tmp_path / "report.json")) as write:
+            cli._emit(cli._report({"command": "sample"}, body), argparse.Namespace(output=write))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,15 +500,30 @@ def test_unwritable_output_is_refused_before_any_draw(capsys, monkeypatch, tmp_p
     assert sorted(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("stale", [False, True])
-def test_a_failing_subcommand_leaves_no_output_file(capsys, tmp_path, stale):
+def test_a_failing_subcommand_leaves_no_output_file(capsys, tmp_path):
     target = tmp_path / "report.json"
-    if stale:
-        target.write_text("an earlier report")
     code, out, err = run(capsys, "sample", "--size", "10", "--count", "0", "--output", str(target))
     assert code == 1 and out == ""
     assert err == "error: count must be positive\n"
-    assert not target.exists()
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_a_failing_subcommand_keeps_an_earlier_report(capsys, tmp_path):
+    # the file is opened before the work but emptied only when the report starts
+    target = tmp_path / "report.json"
+    target.write_text("an earlier report")
+    code, out, err = run(capsys, "sample", "--size", "10", "--count", "0", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == "error: count must be positive\n"
+    assert target.read_text() == "an earlier report"
+
+
+def test_output_replaces_a_longer_earlier_report(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("x" * 10_000)
+    code, out, _ = run(capsys, "enumerate", "--size", "4", "--output", str(target))
+    assert code == 0 and out == ""
+    assert json.loads(target.read_text())["formula"] == 24
 
 
 @pytest.mark.parametrize(

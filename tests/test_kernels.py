@@ -50,7 +50,6 @@ from squareperm import (
     box_distance_grid,
     coc_proportion,
     count_good_pairs,
-    count_square_formula,
     empirical_window_distribution,
     enumerate_square,
     grid_cdf,
@@ -684,8 +683,12 @@ def old_build_lambdas(pair):
 
 def old_reconstruct(pair):
     fams, *_ = old_build_lambdas(pair)
+    return old_permutation(fams, pair.n)
+
+
+def old_permutation(fams, n):
     pts = np.concatenate(fams)
-    out = np.empty(pair.n, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
     out[pts[:, 0] - 1] = pts[:, 1]
     return out
 
@@ -738,21 +741,23 @@ def outcome(f, *args):
 
 
 def assert_same_matching(pair):
-    """reconstruct and build_lambdas agree with the oracle, failures included."""
+    """reconstruct and build_lambdas agree with the oracle, failures
+    included; returns the oracle's permutation, or None where it fails."""
     want = outcome(old_build_lambdas, pair)
     got = outcome(build_lambdas, pair)
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
         assert outcome(reconstruct, pair) == want
-        return False
+        return None
     fams, z1, z2, z3 = want
     got_fams = (got.lambda1, got.lambda2, got.lambda3, got.lambda4)
     for g, w in zip(got_fams, fams):
         assert_same_int_table(g, w)
     assert (got.z1, got.z2, got.z3) == (z1, z2, z3)
     assert all(type(z) is int for z in (got.z1, got.z2, got.z3))
-    assert_same_int_table(reconstruct(pair), old_reconstruct(pair))
-    return True
+    perm = old_permutation(fams, pair.n)
+    assert_same_int_table(reconstruct(pair), perm)
+    return perm
 
 
 def good_pairs(n):
@@ -771,7 +776,7 @@ def test_matching_agrees_on_every_good_pair_up_to_8():
     for n in range(3, 9):
         for pair in good_pairs(n):
             seen += 1
-            failed += not assert_same_matching(pair)
+            failed += assert_same_matching(pair) is None
     assert seen == sum(count_good_pairs(n) for n in range(3, 9)) == 26394
     assert failed == 7158  # irregular pairs, failing in both versions
 
@@ -788,7 +793,7 @@ def test_matching_agrees_on_seeded_pairs(n):
     for z0 in range(max(1, base.z0 - 6), min(n, base.z0 + 6) + 1):
         if base.x[z0 - 1] == "D":
             pairs.append(AnchoredPair(base.x, base.y, z0))
-    results = [assert_same_matching(pair) for pair in pairs]
+    results = [assert_same_matching(pair) is not None for pair in pairs]
     assert any(results)
     if n < 20000:
         assert not all(results)
@@ -797,47 +802,13 @@ def test_matching_agrees_on_seeded_pairs(n):
 # the unpadded matching and the square draw's column-wise check
 
 
-def old_match(pair):
-    """The matching kernel on the padded position tables: the families are
-    views of the tables, scattered by column, then one bijection pass."""
-    if not pair.good:
-        raise ValueError("pair is not good")
-    n = pair.n
-    sx = LabelStats._of_mask(pair.x_is_d, ("D", "U"))
-    sy = LabelStats._of_mask(pair.y_is_l, ("L", "R"))
-    cd = sx.ct("D", pair.z0)
-    z1 = sy.pos("L", cd)
-    z2 = sx.pos("U", sy.count("L") - cd)
-    z3 = sy.pos("R", sx.count("D") - cd)
-    cu = sx.ct("U", z2)
-    md, mu = sx.count("D"), sx.count("U")
-    pos_d, pos_u = sx.pos_table("D"), sx.pos_table("U")
-    pos_l, pos_r = sy.pos_table("L"), sy.pos_table("R")
-    fams = (
-        (pos_d[1 : cd + 1], pos_l[cd:0:-1]),
-        (pos_u[1 : cu + 1], pos_l[cd + 1 : cd + cu + 1]),
-        (pos_d[cd + 1 : md + 1], pos_r[1 : md - cd + 1]),
-        (pos_u[cu + 1 : mu + 1], pos_r[n - cd - cu : md - cd : -1]),
-    )
-    out = np.empty(n + 1, dtype=np.int64)
-    for cols, rows in fams:
-        out[cols] = rows
-    perm = out[1:]
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[perm] = True
-    if not seen[1:].all():
-        raise MatchingFailure("label matching is not a bijection")
-    return perm, fams, (z1, z2, z3)
-
-
-def old_square_of(pair, matched):
+def old_square_of(pair, p):
     """``(p, masks)`` for the preimage of a good pair, or None, from the
-    outcome of :func:`old_match` on it: the projection of its permutation
-    compared as masks with the pair."""
-    if isinstance(matched[0], type):  # the matching failed
+    oracle matching's permutation ``p`` of it (None where that fails):
+    the permutation projected again and compared as masks with the pair."""
+    if p is None:
         return None
-    p = matched[0]
-    masks = _record_masks(p)
+    masks = old_record_masks(p)
     if not np.logical_or.reduce(masks).all():
         return None
     is_min, is_left, z0 = encoding._label_masks(p, masks)
@@ -849,29 +820,6 @@ def old_square_of(pair, matched):
     return (p, masks) if same else None
 
 
-def assert_same_round_trip(pair):
-    """The draw's round trip agrees with the padded one: accept or reject,
-    the permutation and its four record masks; a rejected pair
-    reconstructs to the same permutation, or fails the same way.  Returns
-    the padded matching of an accepted pair, and None for a rejected one."""
-    matched = outcome(old_match, pair)
-    want = old_square_of(pair, matched)
-    got = sampler._square_of(pair)
-    assert (got is None) == (want is None)
-    if got is None:
-        rebuilt = outcome(reconstruct, pair)
-        if isinstance(matched[0], type):
-            assert rebuilt == matched
-        else:
-            assert_same_int_table(rebuilt, matched[0])
-        return None
-    assert got[0] is pair
-    assert_same_int_table(got[1], want[0])
-    for g, w in zip(got[2], want[1], strict=True):
-        assert g.dtype == w.dtype == bool and np.array_equal(g, w)
-    return matched
-
-
 def reaches_the_top_branch(pair):
     """The label counts of the one matching that reads past a table: the
     U columns up to z2 would take one L row more than there are U columns."""
@@ -879,27 +827,24 @@ def reaches_the_top_branch(pair):
     return int(pair.y_is_l.sum()) - cd == int((~pair.x_is_d).sum()) + 1
 
 
-@pytest.mark.parametrize("n", range(3, 10))
-def test_round_trip_matches_the_padded_kernel_on_every_good_pair(n):
-    accepted, top = [], 0
-    for pair in good_pairs(n):
-        matched = assert_same_round_trip(pair)
-        if matched is None:
-            continue
-        perm, fams, (z1, z2, z3) = matched
-        p = tuple(perm.tolist())
-        accepted.append(p)
-        got = build_lambdas(pair)
-        for g, (cols, rows) in zip((got.lambda1, got.lambda2, got.lambda3, got.lambda4), fams):
-            assert_same_int_table(g, np.column_stack((cols, rows)))
-        assert (got.z1, got.z2, got.z3) == (z1, z2, z3)
-        # the squares with p(n) = n are those the explicit branch builds,
-        # and it alone gives z2 = n
-        assert (p[-1] == n) == reaches_the_top_branch(pair) == (got.z2 == n)
-        top += p[-1] == n
-    assert len(accepted) == count_square_formula(n)
-    assert sorted(accepted) == enumerate_square(n)
-    assert top == math.comb(2 * n - 4, n - 2)
+def assert_same_round_trip(pair, got):
+    """The draw's round trip, ``got = sampler._square_of(pair)``, agrees
+    with the oracle matching and re-projection: accept or reject, the
+    permutation and its four record masks.  ``reconstruct`` and
+    ``build_lambdas`` agree with the oracle too (see
+    :func:`assert_same_matching`), and an accepted pair takes the branch
+    that reads past a table exactly when p(n) = n, which gives z2 = n."""
+    want = old_square_of(pair, assert_same_matching(pair))
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    p, masks = want
+    assert got[0] is pair
+    assert_same_int_table(got[1], p)
+    for g, w in zip(got[2], masks, strict=True):
+        assert g.dtype == w.dtype == bool and np.array_equal(g, w)
+    top = p[-1] == pair.n
+    assert top == reaches_the_top_branch(pair) == (build_lambdas(pair).z2 == pair.n)
 
 
 @pytest.mark.parametrize("n", [1000, 10_000])
@@ -911,32 +856,28 @@ def test_round_trip_matches_the_padded_kernel_on_seeded_pairs(n):
     for z0 in (1, 2, n - 1, n):
         pairs += [sampler._draw_pair(rng, n, z0) for _ in range(20)]
         pairs += [sampler._sample_square(n, rng, z0)[0][0] for _ in range(2)]
-    results = [assert_same_round_trip(pair) is not None for pair in pairs]
+    results = []
+    for pair in pairs:
+        got = sampler._square_of(pair)
+        assert_same_round_trip(pair, got)
+        results.append(got is not None)
     assert 0 < results.count(False) < len(pairs) // 4
     # the two accepted draws close each anchor's group of 22
     anchored = [r for i, r in enumerate(results[1000:]) if i % 22 >= 20]
     assert len(anchored) == 8 and all(anchored)
 
 
-def test_an_accepted_draw_hands_its_positions_to_the_label_tables_once():
+def test_an_accepted_draw_builds_its_label_tables_on_demand():
     (pair, _, _), _ = sampler._sample_square(5000, sampler.replicate_rng(3, 0), 3000)
     assert {"x_stats", "y_stats"}.isdisjoint(pair.__dict__)  # the draw built no tables
-    for name, string in (("x", pair.x), ("y", pair.y)):
-        assert f"_{name}_positions" in pair.__dict__
-        got, want = getattr(pair, f"{name}_stats"), LabelStats(string)
-        # released once the table is built from them
-        assert f"_{name}_positions" not in pair.__dict__
+    for got, want in ((pair.x_stats, LabelStats(pair.x)), (pair.y_stats, LabelStats(pair.y))):
         for label in want.alphabet:
             assert_same_int_table(got.pos_table(label), want.pos_table(label))
             assert got.count(label) == want.count(label)
-    # a pair whose tables are built matches on views of them
+    # a pair whose tables are built matches as one that has none
     again = AnchoredPair(pair.x, pair.y, pair.z0)
-    assert again.x_stats.n == again.y_stats.n == pair.n  # builds both tables
-    matched = encoding._match(again)
-    assert_same_int_table(matched.perm, reconstruct(pair))
-    for got, stats in zip(matched.positions, (again.x_stats, again.y_stats)):
-        for g, label in zip(got, stats.alphabet):
-            assert np.shares_memory(g, stats.pos_table(label))
+    assert again.x_stats.n == again.y_stats.n == pair.n
+    assert_same_int_table(reconstruct(again), reconstruct(pair))
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 1000, 1001, 1002, 1003, 10**6])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from squareperm import (
     sample_regular,
     sample_square_approx,
 )
-from squareperm import encoding, sampler
+from squareperm import sampler
 from squareperm.core import _record_masks
 from squareperm.encoding import (
     ALL_PETROV_CONDITIONS,
@@ -39,6 +40,7 @@ from squareperm.sampler import (
     _square_of,
     replicate_rng,
 )
+from test_kernels import assert_same_round_trip
 
 N = 2048  # smallest power of two with a nonempty anchor margin
 
@@ -124,6 +126,8 @@ def test_round_trip_predicate_accepts_each_square_once(n):
     for pair in good_pairs(n):
         total += 1
         square = _square_of(pair)
+        # and agrees with the padded matching and the re-projection it replaced
+        assert_same_round_trip(pair, square)
         if square is not None:
             same, p, masks = square
             assert same is pair
@@ -131,6 +135,8 @@ def test_round_trip_predicate_accepts_each_square_once(n):
             accepted.append(tuple(p.tolist()))
     assert total == count_good_pairs(n)
     assert sorted(accepted) == enumerate_square(n)
+    # the squares built by the branch of the matching that reads past a table
+    assert sum(p[-1] == n for p in accepted) == math.comb(2 * n - 4, n - 2)
 
 
 def test_round_trip_predicate_agrees_with_project_on_seeded_pairs():
@@ -218,10 +224,8 @@ def test_anchored_draw_counts_a_reconstruction_that_is_no_square(monkeypatch):
 
     def first_not_square(pair):
         calls.append(pair)
-        if len(calls) > 1:
-            return real(pair)
         # the 3 at column 3 is no record of 2 5 3 1 4
-        return encoding._Matching(np.array([2, 5, 3, 1, 4]), (), (2, 2, 4), ((), ()))
+        return (np.array([2, 5, 3, 1, 4]), (), (2, 2, 4)) if len(calls) == 1 else real(pair)
 
     monkeypatch.setattr(sampler, "_match", first_not_square)
     (pair, p, _), stats = _sample_square(5, replicate_rng(23, 0), 4)
